@@ -7,7 +7,7 @@
 //! repro profile <table4|workload> [--scale N] [--profile-stride N]
 //!                                 [--profile-out FILE]
 //! repro fleet [--devices N] [--jobs N] [--out DIR] [--metrics-out FILE]
-//! repro diff <a.summary|a.json> <b.summary|b.json> [--tolerance F]
+//! repro diff <a.summary> <b.summary> [--tolerance F]
 //!
 //! experiments:
 //!   table3 table4 table5 fig3 fig4 fig5 fig6 fig7 fig8 fig9
@@ -30,11 +30,7 @@
 //! `--metrics-out`: it parses both files back into metric values and
 //! exits non-zero when any value diverges by more than `--tolerance`
 //! (relative, default 0 = exact), so CI can re-run an experiment and
-//! fail the build on drift. When both arguments end in `.json` the diff
-//! instead parses them as JSON and compares every *numeric* leaf (by its
-//! dot-joined path) with the same relative tolerance — string leaves
-//! (hostnames, comments) are ignored, so `BENCH_scale.json`-style
-//! baseline files can be drift-checked directly.
+//! fail the build on drift.
 //!
 //! `repro profile <target>` replays `table4` or a single workload with
 //! the phase-accounting profiler armed (serial, `--jobs 1`) and prints a
@@ -229,9 +225,7 @@ fn main() {
         match &targets[1..] {
             [a, b] => std::process::exit(diff_cmd(a, b, tolerance)),
             _ => {
-                eprintln!(
-                    "usage: repro diff <a.summary|a.json> <b.summary|b.json> [--tolerance F]"
-                );
+                eprintln!("usage: repro diff <a.summary> <b.summary> [--tolerance F]");
                 std::process::exit(2);
             }
         }
@@ -751,108 +745,10 @@ fn peak_rss_display() -> String {
     }
 }
 
-/// `repro diff a b`: dispatches on file extension — both `.json` compares
-/// numeric JSON leaves, otherwise metric summaries.
-fn diff_cmd(path_a: &str, path_b: &str, tolerance: f64) -> i32 {
-    if path_a.ends_with(".json") && path_b.ends_with(".json") {
-        diff_json_cmd(path_a, path_b, tolerance)
-    } else {
-        diff_summaries_cmd(path_a, path_b, tolerance)
-    }
-}
-
-/// Flattens every numeric leaf of a parsed JSON document into
-/// `dot.joined.path -> value`, recursing through objects and arrays
-/// (array elements use their index as the path segment). String, bool,
-/// and null leaves are skipped: baseline files carry hostnames and
-/// comments that should never fail a drift check.
-fn numeric_leaves(value: &hps_obs::json::Value, path: &str, out: &mut Vec<(String, f64)>) {
-    use hps_obs::json::Value;
-    match value {
-        Value::Num(n) => out.push((path.to_string(), *n)),
-        Value::Obj(members) => {
-            for (key, member) in members {
-                let sub = if path.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{path}.{key}")
-                };
-                numeric_leaves(member, &sub, out);
-            }
-        }
-        Value::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                numeric_leaves(item, &format!("{path}.{i}"), out);
-            }
-        }
-        Value::Null | Value::Bool(_) | Value::Str(_) => {}
-    }
-}
-
-/// `repro diff a.json b.json`: compares the numeric leaves of two JSON
-/// files (e.g. `BENCH_scale.json` baselines) under a relative tolerance.
-/// Exit codes match [`diff_summaries_cmd`].
-fn diff_json_cmd(path_a: &str, path_b: &str, tolerance: f64) -> i32 {
-    let mut sides: Vec<std::collections::BTreeMap<String, f64>> = Vec::with_capacity(2);
-    for path in [path_a, path_b] {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return 2;
-            }
-        };
-        match hps_obs::json::parse(&text) {
-            Ok(doc) => {
-                let mut leaves = Vec::new();
-                numeric_leaves(&doc, "", &mut leaves);
-                sides.push(leaves.into_iter().collect());
-            }
-            Err(e) => {
-                eprintln!("cannot parse {path}: {e}");
-                return 2;
-            }
-        }
-    }
-    let (a, b) = (&sides[0], &sides[1]);
-    let mut divergences = 0usize;
-    for (name, &va) in a {
-        match b.get(name) {
-            None => {
-                println!("{name}: only in {path_a}");
-                divergences += 1;
-            }
-            Some(&vb) => {
-                let close = va == vb || (va - vb).abs() <= tolerance * va.abs().max(vb.abs());
-                if !close {
-                    println!("{name}: {va} vs {vb}");
-                    divergences += 1;
-                }
-            }
-        }
-    }
-    for name in b.keys() {
-        if !a.contains_key(name) {
-            println!("{name}: only in {path_b}");
-            divergences += 1;
-        }
-    }
-    if divergences == 0 {
-        println!(
-            "json files match: {} numeric leaf/leaves within tolerance {tolerance}",
-            a.len().max(b.len())
-        );
-        0
-    } else {
-        println!("json files differ: {divergences} divergence(s) beyond tolerance {tolerance}");
-        1
-    }
-}
-
 /// `repro diff a b`: compares two `--metrics-out` summary files and
 /// returns the process exit code — 0 when every metric agrees to within
 /// `tolerance`, 1 when any diverges, 2 on unreadable/unparseable input.
-fn diff_summaries_cmd(path_a: &str, path_b: &str, tolerance: f64) -> i32 {
+fn diff_cmd(path_a: &str, path_b: &str, tolerance: f64) -> i32 {
     let mut parsed = Vec::with_capacity(2);
     for path in [path_a, path_b] {
         let text = match std::fs::read_to_string(path) {
@@ -905,7 +801,7 @@ fn print_usage() {
         "       repro profile <table4|workload> [--scale N] [--profile-stride N] [--profile-out FILE]"
     );
     eprintln!("       repro fleet [--devices N] [--jobs N] [--out DIR] [--metrics-out FILE]");
-    eprintln!("       repro diff <a.summary|a.json> <b.summary|b.json> [--tolerance F]");
+    eprintln!("       repro diff <a.summary> <b.summary> [--tolerance F]");
     eprintln!("experiments: {} all", EXPERIMENTS.join(" "));
     eprintln!("workloads:   any name from `trace-tool list` (e.g. CameraVideo, WebBrowsing)");
     eprintln!(

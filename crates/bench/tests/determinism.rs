@@ -137,12 +137,15 @@ fn fault_injected_sweep_is_byte_identical_across_jobs() {
 }
 
 /// `FaultConfig::NONE` (the default) must leave every paper artifact
-/// byte-identical: the checked-in `experiments/fig3.txt` golden file was
-/// produced before the fault subsystem existed, and regenerating it with
-/// the fault-aware code must reproduce it exactly.
+/// byte-identical: regenerating Fig. 3 with the fault-aware code must
+/// reproduce its pinned golden (`hpsbench/goldens/paper_suite/fig3.txt`)
+/// exactly.
 #[test]
 fn none_fault_profile_reproduces_golden_fig3() {
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../experiments/fig3.txt");
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../hpsbench/goldens/paper_suite/fig3.txt"
+    );
     let golden = std::fs::read_to_string(golden_path).expect("golden fig3.txt is checked in");
     assert_eq!(
         hps_bench::exp_fig3(),

@@ -19,9 +19,6 @@
 //!   the FTL and cache hot paths.
 //! * [`scratch`] — inline small-vectors and reusable buffer bundles that
 //!   keep the per-request replay path free of heap allocations.
-//! * [`event`] — the calendar-queue event wheel and per-resource
-//!   availability timeline the device scheduler runs on; idle gaps are
-//!   skipped in O(1) instead of recomputed per op.
 //!
 //! # Example
 //!
@@ -37,7 +34,6 @@
 
 pub mod audit;
 pub mod error;
-pub mod event;
 pub mod hash;
 pub mod par;
 pub mod request;
@@ -48,7 +44,6 @@ pub mod time;
 pub mod units;
 
 pub use error::{Error, Result};
-pub use event::{EventWheel, ResourceTimeline};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use request::{Direction, IoRequest, RequestId};
 pub use rng::{derive_seed, SimRng};

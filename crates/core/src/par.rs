@@ -126,21 +126,24 @@ where
                     }
                     // Own deque first (back: most recently dealt,
                     // cache-warm), then steal from the fronts of the
-                    // others.
-                    let job = queues[w]
+                    // others. The own-queue pop is its own statement so
+                    // its guard drops before any other queue is locked:
+                    // holding it while stealing lets two idle workers
+                    // each wait on the other's lock.
+                    let own = queues[w]
                         .lock()
                         // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
                         .expect("job queue poisoned")
-                        .pop_back()
-                        .or_else(|| {
-                            (1..workers).find_map(|d| {
-                                queues[(w + d) % workers]
-                                    .lock()
-                                    // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
-                                    .expect("job queue poisoned")
-                                    .pop_front()
-                            })
-                        });
+                        .pop_back();
+                    let job = own.or_else(|| {
+                        (1..workers).find_map(|d| {
+                            queues[(w + d) % workers]
+                                .lock()
+                                // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
+                                .expect("job queue poisoned")
+                                .pop_front()
+                        })
+                    });
                     match job {
                         Some((i, item)) => match catch_unwind(AssertUnwindSafe(|| f(item))) {
                             Ok(result) => {

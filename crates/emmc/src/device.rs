@@ -20,7 +20,7 @@ use hps_core::{Bytes, Direction, Error, IoRequest, Result, SimDuration, SimTime}
 use hps_ftl::{FlashOp, Ftl, FtlConfig, Lpn, OpKind, RecoveryReport};
 use hps_nand::NandTiming;
 use hps_obs::{AckKind, Event, EventKind, OpClass, Telemetry};
-use hps_trace::{Trace, TraceSource};
+use hps_trace::{Trace, TraceRecord, TraceSource};
 
 /// The device's concrete scratch-buffer bundle (see
 /// [`hps_core::scratch::ReplayScratch`]).
@@ -372,11 +372,6 @@ impl EmmcDevice {
         // the service start time is fixed.
         let prof_wait = hps_obs::profile::phase(hps_obs::Phase::QueueWait);
 
-        // Retire availability events for reservations that completed
-        // before this arrival; the wheel cursor skips the idle gap in O(1)
-        // and the pending-event set stays bounded by in-flight work.
-        self.sched.advance_to(arrival);
-
         // Idle-time GC (Implication 2): if the gap since the device went
         // idle is long, reclaim garbage invisibly before the request lands.
         if self.config.ftl.gc_trigger.collects_when_idle()
@@ -682,35 +677,12 @@ impl EmmcDevice {
     ///
     /// Returns the first error a submission raises.
     pub fn replay(&mut self, trace: &mut Trace) -> Result<ReplayMetrics> {
-        let mut metrics = ReplayMetrics {
-            trace_name: trace.name().to_string(),
-            scheme: self.config.scheme.label().to_string(),
-            ..ReplayMetrics::default()
-        };
-        for record in trace.records_mut() {
-            let completion = self.submit(&record.request)?;
-            *record = record
-                .with_service_start(completion.service_start)
-                .with_finish(completion.finish);
-            metrics.total_requests += 1;
-            match record.request.direction {
-                Direction::Read => metrics.reads += 1,
-                Direction::Write => metrics.writes += 1,
-            }
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
-            let response_ms = record.response_time().expect("just completed").as_ms_f64();
-            metrics.response_ms.push(response_ms);
-            metrics.push_response_sample(response_ms);
-            metrics
-                .service_ms
-                // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
-                .push(record.service_time().expect("just completed").as_ms_f64());
-            if record.served_immediately() {
-                metrics.nowait_requests += 1;
-            }
-        }
-        self.finish_replay_metrics(&mut metrics);
-        Ok(metrics)
+        let name = trace.name().to_string();
+        let records = trace
+            .records_mut()
+            .iter_mut()
+            .map(|record| (record.request, Some(record)));
+        self.replay_loop(name, records)
     }
 
     /// Replays every request a [`TraceSource`] yields, without ever
@@ -718,10 +690,8 @@ impl EmmcDevice {
     /// length (capped metrics, reused scratch buffers). With a source that
     /// cursors over a materialized trace — or a streaming generator at
     /// scale 1 — the returned metrics are identical to
-    /// [`EmmcDevice::replay`]'s, because the per-request arithmetic is the
-    /// same (`response = finish − arrival`, `service = finish −
-    /// service_start`, no-wait ⇔ `service_start = arrival`) and requests
-    /// are submitted in the same order.
+    /// [`EmmcDevice::replay`]'s: both run the same per-request loop over
+    /// the same requests in the same order.
     ///
     /// # Errors
     ///
@@ -730,13 +700,35 @@ impl EmmcDevice {
         &mut self,
         source: &mut S,
     ) -> Result<ReplayMetrics> {
+        let name = source.name().to_string();
+        let requests = std::iter::from_fn(|| source.next_request())
+            .map(|request| (request, None::<&mut TraceRecord>));
+        self.replay_loop(name, requests)
+    }
+
+    /// The per-request loop behind [`EmmcDevice::replay`] and
+    /// [`EmmcDevice::replay_stream`]: submits each request in order, folds
+    /// its completion into the metrics, and writes the service-start and
+    /// finish timestamps back into the request's trace record when it has
+    /// one. Ends with FTL/power state snapshotted into the metrics and the
+    /// end-of-run audit sweep.
+    fn replay_loop<'r>(
+        &mut self,
+        trace_name: String,
+        requests: impl Iterator<Item = (IoRequest, Option<&'r mut TraceRecord>)>,
+    ) -> Result<ReplayMetrics> {
         let mut metrics = ReplayMetrics {
-            trace_name: source.name().to_string(),
+            trace_name,
             scheme: self.config.scheme.label().to_string(),
             ..ReplayMetrics::default()
         };
-        while let Some(request) = source.next_request() {
+        for (request, record) in requests {
             let completion = self.submit(&request)?;
+            if let Some(record) = record {
+                *record = record
+                    .with_service_start(completion.service_start)
+                    .with_finish(completion.finish);
+            }
             metrics.total_requests += 1;
             match request.direction {
                 Direction::Read => metrics.reads += 1,
@@ -758,14 +750,6 @@ impl EmmcDevice {
                 metrics.nowait_requests += 1;
             }
         }
-        self.finish_replay_metrics(&mut metrics);
-        Ok(metrics)
-    }
-
-    /// End-of-replay bookkeeping shared by [`EmmcDevice::replay`] and
-    /// [`EmmcDevice::replay_stream`]: snapshot FTL/power state into the
-    /// metrics and run the end-of-run audit sweep.
-    fn finish_replay_metrics(&self, metrics: &mut ReplayMetrics) {
         metrics.ftl = self.ftl.stats();
         metrics.space = self.ftl.space();
         metrics.wear = self.ftl.wear();
@@ -774,6 +758,7 @@ impl EmmcDevice {
         metrics.idle_gc_passes = self.idle_gc_passes;
         metrics.pool_spills = self.pool_spills;
         self.audit_end_of_run();
+        Ok(metrics)
     }
 
     /// End-of-run invariant sweep: a full shadow-vs-real FTL cross-check
@@ -982,7 +967,6 @@ impl core::fmt::Debug for EmmcDevice {
         f.debug_struct("EmmcDevice")
             .field("scheme", &self.config.scheme)
             .field("busy_until", &self.busy_until)
-            .field("sched_in_flight", &self.sched.in_flight())
             .field("ftl", &self.ftl)
             .finish_non_exhaustive()
     }

@@ -3,7 +3,7 @@
 //! Within one request, sub-operations parallelize across the device's two
 //! channels and four dies (Table V geometry); across requests the device is
 //! FIFO (eMMC 4.5 has no command queueing). [`ResourceSchedule`] keeps a
-//! `busy-until` horizon per channel and per die and maps each
+//! free-at horizon per channel and per die and maps each
 //! [`FlashOp`](hps_ftl::FlashOp) to its completion time:
 //!
 //! * **read**: the die senses the page (`read` latency), then the data
@@ -13,25 +13,17 @@
 //! * **erase**: die-only, no channel traffic.
 //!
 //! This is the granularity at which SSDsim models an SSD, which is exactly
-//! what the paper used for its case study.
+//! what the paper used for its case study: an operation starts at
+//! `max(release, channel free, die free)`, and reserving it moves each
+//! horizon it occupies forward to its finish.
 //!
-//! # Event-wheel core
-//!
-//! The horizons live in an [`hps_core::event::ResourceTimeline`]: per-op
-//! reservations are plain monotone stores, `all_idle_at` is the timeline's
-//! O(1) running maximum, and each batch publishes *one* availability event
-//! through the calendar-queue wheel — a bitmask of the channels and dies
-//! it touched, timestamped at the batch finish — which expired batches
-//! retire at every batch release and request arrival. Per-op
-//! plane→channel/die decoding and Table V latency math are precomputed
-//! into lookup tables at construction, replacing five divisions and a
-//! branch-and-multiply per op with three array loads.
-//!
-//! The pre-wheel implementation is retained verbatim as [`NaiveSchedule`];
-//! a property test drives both with the same op streams and pins the
-//! wheel-backed schedule to byte-identical [`ScheduledOp`] placements.
+//! Per-op plane→channel/die decoding and Table V latency math are
+//! precomputed into lookup tables at construction, replacing five
+//! divisions and a branch-and-multiply per op with three array loads. A
+//! test-only reference scheduler re-derives everything from the geometry
+//! and timing models on every op; property tests pin the two to identical
+//! [`ScheduledOp`] placements.
 
-use hps_core::event::ResourceTimeline;
 use hps_core::{Bytes, SimDuration, SimTime};
 use hps_ftl::{FlashOp, OpKind};
 use hps_nand::{Geometry, NandTiming};
@@ -81,7 +73,7 @@ struct ClassCosts {
     total: SimDuration,
 }
 
-/// Busy-until horizons for every channel and die, wheel-backed.
+/// Busy-until horizons for every channel and die.
 ///
 /// Resource slots are channels first (`0..channels`), then flat dies
 /// (`channels..channels + dies_total`).
@@ -90,7 +82,8 @@ pub struct ResourceSchedule {
     geometry: Geometry,
     timing: NandTiming,
     mode: ChannelMode,
-    timeline: ResourceTimeline,
+    /// When each resource slot is next free.
+    free_at: Vec<SimTime>,
     /// Channel index per flat plane (equals the channel's resource slot).
     plane_channel: Box<[u32]>,
     /// Flat die index per plane; the die's resource slot is offset by
@@ -98,9 +91,6 @@ pub struct ResourceSchedule {
     plane_die: Box<[u32]>,
     /// Costs indexed `[read_4k, program_4k, read_8k, program_8k]`.
     class_costs: [ClassCosts; 4],
-    /// Bitset over resource slots touched by the current batch; flushed
-    /// into one availability announcement per resource at batch end.
-    touched: Vec<u64>,
     busy: SimDuration,
 }
 
@@ -121,12 +111,11 @@ impl ResourceSchedule {
         };
         let x4 = timing.transfer(Bytes::kib(4));
         let x8 = timing.transfer(Bytes::kib(8));
-        let resources = geometry.channels + geometry.dies_total();
         ResourceSchedule {
             geometry,
             timing,
             mode,
-            timeline: ResourceTimeline::new(resources),
+            free_at: vec![SimTime::ZERO; geometry.channels + geometry.dies_total()],
             plane_channel,
             plane_die,
             class_costs: [
@@ -135,7 +124,6 @@ impl ResourceSchedule {
                 costs(timing.page_8k.read, x8),
                 costs(timing.page_8k.program, x8),
             ],
-            touched: vec![0u64; resources.div_ceil(64)],
             busy: SimDuration::ZERO,
         }
     }
@@ -151,8 +139,8 @@ impl ResourceSchedule {
     fn costs(&self, kind: OpKind, page_size: Bytes) -> ClassCosts {
         if kind == OpKind::Erase {
             // Erase latency is page-size independent, but the timing model
-            // still rejects sizes it does not know (as the pre-wheel code
-            // did by querying page timings for every op).
+            // still rejects sizes it does not know (as the reference
+            // scheduler does by querying page timings for every op).
             let _ = self.page_class(page_size);
             return ClassCosts {
                 cell: self.timing.erase,
@@ -179,56 +167,15 @@ impl ResourceSchedule {
         }
     }
 
-    /// Marks a resource slot as touched by the current batch.
+    /// Extends resource slot `r`'s horizon to `until`. Horizons only move
+    /// forward; a reservation ending before the current horizon leaves it
+    /// unchanged.
     #[inline]
-    fn touch(&mut self, r: usize) {
-        self.touched[r >> 6] |= 1u64 << (r & 63);
-    }
-
-    /// Publishes the batch's availability announcement — one wheel event
-    /// per touched 64-resource word, timestamped at the batch finish and
-    /// carrying the touched channel/die bitmask — and clears the set.
-    /// Every reservation the batch made ends at or before its finish, so
-    /// a single event covers the whole transaction.
-    fn flush_announcements(&mut self, finish: SimTime) {
-        for w in 0..self.touched.len() {
-            let bits = std::mem::take(&mut self.touched[w]);
-            if bits != 0 {
-                self.timeline.announce_batch_word(w, bits, finish);
-            }
+    fn reserve(&mut self, r: usize, until: SimTime) {
+        let slot = &mut self.free_at[r];
+        if until > *slot {
+            *slot = until;
         }
-    }
-
-    /// Schedules one flash operation that may not start before `earliest`,
-    /// reserving the channel and die it needs. Returns its completion time.
-    pub fn schedule(&mut self, op: &FlashOp, earliest: SimTime) -> SimTime {
-        self.schedule_detailed(op, earliest).finish
-    }
-
-    /// [`ResourceSchedule::schedule`], additionally reporting which channel
-    /// and die the operation landed on and when it started.
-    ///
-    /// Single-op entry point: a one-op wheel transaction (batches use
-    /// [`ResourceSchedule::schedule_batch`], which amortizes the profiler
-    /// guard and availability announcements across the whole run).
-    pub fn schedule_detailed(&mut self, op: &FlashOp, earliest: SimTime) -> ScheduledOp {
-        // NAND phase, keyed by op class: per-op scheduling cost is
-        // attributed exactly once.
-        let _prof = hps_obs::profile::phase(match op.kind {
-            OpKind::Read => hps_obs::Phase::NandRead,
-            OpKind::Program => hps_obs::Phase::NandProgram,
-            OpKind::Erase => hps_obs::Phase::NandErase,
-        });
-        // See `schedule_batch_observed`: expired events retire at the
-        // release time so the cursor tracks the service clock.
-        self.timeline.advance_to(earliest, |_, _| {});
-        #[cfg(any(debug_assertions, feature = "sanitize"))]
-        let horizons = self.horizons_of(op);
-        let scheduled = self.schedule_op_inner(op, earliest);
-        #[cfg(any(debug_assertions, feature = "sanitize"))]
-        self.audit_scheduled(earliest, horizons, scheduled);
-        self.flush_announcements(scheduled.finish);
-        scheduled
     }
 
     /// Pre-op channel/die horizons, for the monotonicity audit.
@@ -236,15 +183,12 @@ impl ResourceSchedule {
     fn horizons_of(&self, op: &FlashOp) -> (SimTime, SimTime) {
         let channel = self.plane_channel[op.plane] as usize;
         let die_slot = self.geometry.channels + self.plane_die[op.plane] as usize;
-        (
-            self.timeline.free_at(channel),
-            self.timeline.free_at(die_slot),
-        )
+        (self.free_at[channel], self.free_at[die_slot])
     }
 
     /// Event-time monotonicity audit for one scheduled operation: the op
     /// must run forward in time, never before its release, and reserving it
-    /// must never rewind a resource's busy-until horizon.
+    /// must never rewind a resource's free-at horizon.
     #[cfg(any(debug_assertions, feature = "sanitize"))]
     fn audit_scheduled(
         &self,
@@ -269,10 +213,8 @@ impl ResourceSchedule {
             ));
         }
         let (chan_before, die_before) = horizons_before;
-        let chan_after = self.timeline.free_at(scheduled.channel);
-        let die_after = self
-            .timeline
-            .free_at(self.geometry.channels + scheduled.die);
+        let chan_after = self.free_at[scheduled.channel];
+        let die_after = self.free_at[self.geometry.channels + scheduled.die];
         if chan_after < chan_before || die_after < die_before {
             regression(format!(
                 "resource horizon rewound: channel {} -> {}, die {} -> {}",
@@ -281,9 +223,9 @@ impl ResourceSchedule {
         }
     }
 
-    /// Places one op against the timeline. Timing math is identical to
-    /// [`NaiveSchedule::schedule_detailed`]; only the bookkeeping differs
-    /// (lookup tables, monotone reserves, touched-set accumulation).
+    /// Places one op against the horizons. Timing math is identical to the
+    /// reference scheduler's; only the bookkeeping differs (lookup tables
+    /// and monotone reserves).
     #[inline]
     fn schedule_op_inner(&mut self, op: &FlashOp, earliest: SimTime) -> ScheduledOp {
         let channel = self.plane_channel[op.plane] as usize;
@@ -294,13 +236,11 @@ impl ResourceSchedule {
             // Channel held for the entire operation: channel and die are
             // both occupied from start to finish.
             let start = earliest
-                .max(self.timeline.free_at(channel))
-                .max(self.timeline.free_at(die_slot));
+                .max(self.free_at[channel])
+                .max(self.free_at[die_slot]);
             let done = start + c.total;
-            self.timeline.reserve(channel, done);
-            self.timeline.reserve(die_slot, done);
-            self.touch(channel);
-            self.touch(die_slot);
+            self.reserve(channel, done);
+            self.reserve(die_slot, done);
             self.busy += c.total;
             return ScheduledOp {
                 channel,
@@ -312,14 +252,12 @@ impl ResourceSchedule {
         match op.kind {
             OpKind::Read => {
                 // Sense on the die, then move data out over the channel.
-                let sense_start = earliest.max(self.timeline.free_at(die_slot));
+                let sense_start = earliest.max(self.free_at[die_slot]);
                 let sense_done = sense_start + c.cell;
-                self.timeline.reserve(die_slot, sense_done);
-                let xfer_start = sense_done.max(self.timeline.free_at(channel));
+                self.reserve(die_slot, sense_done);
+                let xfer_start = sense_done.max(self.free_at[channel]);
                 let done = xfer_start + c.xfer;
-                self.timeline.reserve(channel, done);
-                self.touch(channel);
-                self.touch(die_slot);
+                self.reserve(channel, done);
                 self.busy += c.total;
                 ScheduledOp {
                     channel,
@@ -330,14 +268,12 @@ impl ResourceSchedule {
             }
             OpKind::Program => {
                 // Move data in over the channel, then program the cells.
-                let xfer_start = earliest.max(self.timeline.free_at(channel));
+                let xfer_start = earliest.max(self.free_at[channel]);
                 let xfer_done = xfer_start + c.xfer;
-                self.timeline.reserve(channel, xfer_done);
-                let prog_start = xfer_done.max(self.timeline.free_at(die_slot));
+                self.reserve(channel, xfer_done);
+                let prog_start = xfer_done.max(self.free_at[die_slot]);
                 let done = prog_start + c.cell;
-                self.timeline.reserve(die_slot, done);
-                self.touch(channel);
-                self.touch(die_slot);
+                self.reserve(die_slot, done);
                 self.busy += c.total;
                 ScheduledOp {
                     channel,
@@ -347,10 +283,9 @@ impl ResourceSchedule {
                 }
             }
             OpKind::Erase => {
-                let start = earliest.max(self.timeline.free_at(die_slot));
+                let start = earliest.max(self.free_at[die_slot]);
                 let done = start + c.cell;
-                self.timeline.reserve(die_slot, done);
-                self.touch(die_slot);
+                self.reserve(die_slot, done);
                 self.busy += c.cell;
                 ScheduledOp {
                     channel,
@@ -371,23 +306,14 @@ impl ResourceSchedule {
     /// [`ResourceSchedule::schedule_batch`], invoking `on_op` with every
     /// operation's resolved placement — the telemetry tap.
     ///
-    /// This is one wheel transaction: ops are placed back to back with a
-    /// single profiler guard per same-kind run (each op still counted),
-    /// and availability events are published once per touched resource at
-    /// the end instead of once per op.
+    /// Ops are placed back to back with a single profiler guard per
+    /// same-kind run (each op still counted).
     pub fn schedule_batch_observed(
         &mut self,
         ops: &[FlashOp],
         earliest: SimTime,
         mut on_op: impl FnMut(&FlashOp, ScheduledOp),
     ) -> SimTime {
-        // Open the transaction by retiring availability events that expired
-        // before this release time: every reservation below starts at or
-        // after `earliest`, so those events can never matter again. Keying
-        // the cursor to the service clock keeps pending events within one
-        // op of it — inside the near ring even when request arrivals lag a
-        // saturated device.
-        self.timeline.advance_to(earliest, |_, _| {});
         let mut finish = earliest;
         let mut run_kind: Option<OpKind> = None;
         let mut run: Option<hps_obs::profile::RunPhaseTimer> = None;
@@ -417,160 +343,18 @@ impl ResourceSchedule {
             }
         }
         drop(run);
-        self.flush_announcements(finish);
         finish
     }
 
-    /// The time when every resource is idle again — O(1), the timeline's
-    /// running maximum.
+    /// The time when every resource is idle again.
     pub fn all_idle_at(&self) -> SimTime {
-        self.timeline.all_idle_at()
-    }
-
-    /// Drains availability events at or before `now` and skips the wheel
-    /// cursor across the idle gap. The device calls this once per request
-    /// arrival, which bounds the pending-event population without ever
-    /// scanning it.
-    pub fn advance_to(&mut self, now: SimTime) {
-        self.timeline.advance_to(now, |_, _| {});
-    }
-
-    /// Resources whose published availability events have not yet expired
-    /// (reservations still in flight as of the last
-    /// [`ResourceSchedule::advance_to`]).
-    pub fn in_flight(&self) -> usize {
-        self.timeline.in_flight()
-    }
-
-    /// Accumulated busy time across all resources (for utilization studies).
-    pub fn total_busy(&self) -> SimDuration {
-        self.busy
-    }
-}
-
-/// The pre-wheel scheduler, retained as the reference model for the
-/// wheel-vs-naive equivalence proptest (and the `schedule` bench group).
-/// Same public surface, same timing math, no event wheel: horizons are
-/// plain vectors, `all_idle_at` folds over all of them, and every op pays
-/// the full plane-address division chain.
-#[derive(Clone, Debug)]
-pub struct NaiveSchedule {
-    geometry: Geometry,
-    timing: NandTiming,
-    mode: ChannelMode,
-    channel_free: Vec<SimTime>, // lint: allow(busy-until) reference model
-    die_free: Vec<SimTime>,     // lint: allow(busy-until) reference model
-    busy: SimDuration,
-}
-
-impl NaiveSchedule {
-    /// Creates an all-idle naive schedule.
-    pub fn new(geometry: Geometry, timing: NandTiming, mode: ChannelMode) -> Self {
-        NaiveSchedule {
-            geometry,
-            timing,
-            mode,
-            channel_free: vec![SimTime::ZERO; geometry.channels], // lint: allow(busy-until) reference model
-            die_free: vec![SimTime::ZERO; geometry.dies_total()], // lint: allow(busy-until) reference model
-            busy: SimDuration::ZERO,
-        }
-    }
-
-    /// Schedules one op; see [`ResourceSchedule::schedule`].
-    pub fn schedule(&mut self, op: &FlashOp, earliest: SimTime) -> SimTime {
-        self.schedule_detailed(op, earliest).finish
-    }
-
-    /// The original per-op placement: plane-address divisions, timing
-    /// lookups, and unconditional horizon stores.
-    pub fn schedule_detailed(&mut self, op: &FlashOp, earliest: SimTime) -> ScheduledOp {
-        let channel = self.geometry.channel_of_plane(op.plane);
-        let die = self.geometry.die_of_plane(op.plane);
-        let page = self.timing.page_timing(op.page_size);
-        let xfer = self.timing.transfer(op.page_size);
-        if self.mode == ChannelMode::Legacy && op.kind != OpKind::Erase {
-            let cell = match op.kind {
-                OpKind::Read => page.read,
-                OpKind::Program => page.program,
-                OpKind::Erase => unreachable!("erase handled below"),
-            };
-            let start = earliest
-                .max(self.channel_free[channel])
-                .max(self.die_free[die]);
-            let done = start + cell + xfer;
-            self.channel_free[channel] = done;
-            self.die_free[die] = done;
-            self.busy += cell + xfer;
-            return ScheduledOp {
-                channel,
-                die,
-                start,
-                finish: done,
-            };
-        }
-        match op.kind {
-            OpKind::Read => {
-                let sense_start = earliest.max(self.die_free[die]);
-                let sense_done = sense_start + page.read;
-                self.die_free[die] = sense_done;
-                let xfer_start = sense_done.max(self.channel_free[channel]);
-                let done = xfer_start + xfer;
-                self.channel_free[channel] = done;
-                self.busy += page.read + xfer;
-                ScheduledOp {
-                    channel,
-                    die,
-                    start: sense_start,
-                    finish: done,
-                }
-            }
-            OpKind::Program => {
-                let xfer_start = earliest.max(self.channel_free[channel]);
-                let xfer_done = xfer_start + xfer;
-                self.channel_free[channel] = xfer_done;
-                let prog_start = xfer_done.max(self.die_free[die]);
-                let done = prog_start + page.program;
-                self.die_free[die] = done;
-                self.busy += page.program + xfer;
-                ScheduledOp {
-                    channel,
-                    die,
-                    start: xfer_start,
-                    finish: done,
-                }
-            }
-            OpKind::Erase => {
-                let start = earliest.max(self.die_free[die]);
-                let done = start + self.timing.erase;
-                self.die_free[die] = done;
-                self.busy += self.timing.erase;
-                ScheduledOp {
-                    channel,
-                    die,
-                    start,
-                    finish: done,
-                }
-            }
-        }
-    }
-
-    /// Schedules a batch; see [`ResourceSchedule::schedule_batch`].
-    pub fn schedule_batch(&mut self, ops: &[FlashOp], earliest: SimTime) -> SimTime {
-        ops.iter().fold(earliest, |finish, op| {
-            finish.max(self.schedule_detailed(op, earliest).finish)
-        })
-    }
-
-    /// O(resources) fold over every horizon.
-    pub fn all_idle_at(&self) -> SimTime {
-        self.channel_free
+        self.free_at
             .iter()
-            .chain(self.die_free.iter())
             .copied()
             .fold(SimTime::ZERO, SimTime::max)
     }
 
-    /// Accumulated busy time across all resources.
+    /// Accumulated busy time across all resources (for utilization studies).
     pub fn total_busy(&self) -> SimDuration {
         self.busy
     }
@@ -598,10 +382,17 @@ mod tests {
         Bytes::kib(4)
     }
 
+    /// Schedules `op` as a one-op batch and returns its placement.
+    pub(super) fn place(s: &mut ResourceSchedule, op: &FlashOp, earliest: SimTime) -> ScheduledOp {
+        let mut placed = None;
+        s.schedule_batch_observed(std::slice::from_ref(op), earliest, |_, p| placed = Some(p));
+        placed.expect("a one-op batch places its op")
+    }
+
     #[test]
     fn single_read_time() {
         let mut s = sched();
-        let done = s.schedule(&FlashOp::read(0, k4()), SimTime::ZERO);
+        let done = s.schedule_batch(&[FlashOp::read(0, k4())], SimTime::ZERO);
         let t = NandTiming::TABLE_V;
         assert_eq!(done, SimTime::ZERO + t.page_4k.read + t.transfer(k4()));
     }
@@ -609,7 +400,7 @@ mod tests {
     #[test]
     fn single_program_time() {
         let mut s = sched();
-        let done = s.schedule(&FlashOp::program(0, k4()), SimTime::from_ms(1));
+        let done = s.schedule_batch(&[FlashOp::program(0, k4())], SimTime::from_ms(1));
         let t = NandTiming::TABLE_V;
         assert_eq!(
             done,
@@ -657,11 +448,11 @@ mod tests {
     #[test]
     fn erase_occupies_die_only() {
         let mut s = sched();
-        s.schedule(&FlashOp::erase(0, k4()), SimTime::ZERO);
+        s.schedule_batch(&[FlashOp::erase(0, k4())], SimTime::ZERO);
         // A read on the same die waits for the erase; a program's transfer
         // on the channel does not.
         let t = NandTiming::TABLE_V;
-        let read_done = s.schedule(&FlashOp::read(0, k4()), SimTime::ZERO);
+        let read_done = s.schedule_batch(&[FlashOp::read(0, k4())], SimTime::ZERO);
         assert!(read_done >= SimTime::ZERO + t.erase + t.page_4k.read);
     }
 
@@ -695,13 +486,11 @@ mod tests {
 
     #[test]
     fn empty_batch_leaves_all_idle_at_untouched() {
-        // Satellite edge case: an empty batch neither advances any horizon
-        // nor publishes availability events.
+        // An empty batch advances no horizon.
         let mut s = sched();
         assert_eq!(s.all_idle_at(), SimTime::ZERO);
         s.schedule_batch(&[], SimTime::from_ms(3));
         assert_eq!(s.all_idle_at(), SimTime::ZERO);
-        assert_eq!(s.in_flight(), 0);
         // A real op then moves the horizon exactly to its finish.
         let done = s.schedule_batch(&[FlashOp::program(0, k4())], SimTime::from_ms(3));
         assert_eq!(s.all_idle_at(), done);
@@ -730,8 +519,8 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_singles() {
-        // The batched wheel transaction is pure bookkeeping: its
-        // placements equal those of one-at-a-time scheduling.
+        // Batching is pure bookkeeping: its placements equal those of
+        // one-op batches submitted one at a time.
         let ops = [
             FlashOp::read(3, k4()),
             FlashOp::program(3, k4()),
@@ -746,7 +535,7 @@ mod tests {
                 .schedule_batch_observed(&ops, SimTime::from_us(9), |_, s| from_batch.push(s));
             let from_singles: Vec<_> = ops
                 .iter()
-                .map(|op| singles.schedule_detailed(op, SimTime::from_us(9)))
+                .map(|op| place(&mut singles, op, SimTime::from_us(9)))
                 .collect();
             assert_eq!(from_batch, from_singles);
             assert_eq!(
@@ -762,22 +551,9 @@ mod tests {
     }
 
     #[test]
-    fn advance_drains_in_flight_events() {
-        let mut s = sched();
-        let done = s.schedule_batch(
-            &[FlashOp::program(0, k4()), FlashOp::read(4, k4())],
-            SimTime::ZERO,
-        );
-        // Two ops on disjoint channel/die pairs: four touched resources.
-        assert_eq!(s.in_flight(), 4);
-        s.advance_to(done);
-        assert_eq!(s.in_flight(), 0);
-    }
-
-    #[test]
     fn busy_time_accumulates() {
         let mut s = sched();
-        s.schedule(&FlashOp::erase(0, k4()), SimTime::ZERO);
+        s.schedule_batch(&[FlashOp::erase(0, k4())], SimTime::ZERO);
         assert_eq!(s.total_busy(), NandTiming::TABLE_V.erase);
     }
 
@@ -832,10 +608,10 @@ mod tests {
     #[test]
     fn legacy_erase_does_not_hold_the_channel() {
         let mut s = legacy();
-        s.schedule(&FlashOp::erase(0, k4()), SimTime::ZERO);
+        s.schedule_batch(&[FlashOp::erase(0, k4())], SimTime::ZERO);
         // A program on the same channel but a different die can proceed.
         let t = NandTiming::TABLE_V;
-        let done = s.schedule(&FlashOp::program(2, k4()), SimTime::ZERO);
+        let done = s.schedule_batch(&[FlashOp::program(2, k4())], SimTime::ZERO);
         assert_eq!(done, SimTime::ZERO + t.transfer(k4()) + t.page_4k.program);
     }
 
@@ -863,20 +639,132 @@ mod tests {
     #[should_panic(expected = "unsupported page size")]
     fn unsupported_page_size_panics_like_timing_model() {
         let mut s = sched();
-        let _ = s.schedule(&FlashOp::erase(0, Bytes::kib(16)), SimTime::ZERO);
+        let _ = s.schedule_batch(&[FlashOp::erase(0, Bytes::kib(16))], SimTime::ZERO);
     }
 }
 
 #[cfg(test)]
 mod equivalence {
-    //! The pin holding the tentpole up: the wheel-backed schedule must
-    //! place every op exactly where the naive scheduler places it, for
-    //! arbitrary op streams, both channel modes, and monotone release
-    //! times — start, finish, channel, die, `all_idle_at`, `total_busy`.
+    //! The production schedule must place every op exactly where the
+    //! reference scheduler places it, for arbitrary op streams, both
+    //! channel modes, and monotone release times — start, finish, channel,
+    //! die, `all_idle_at`, `total_busy`. The production side is driven
+    //! only through `schedule_batch_observed`.
 
+    use super::tests::place;
     use super::*;
-    use hps_core::Bytes;
     use proptest::prelude::*;
+
+    /// The reference scheduler: the same timing math without lookup
+    /// tables. Every op pays the full plane-address division chain and
+    /// timing-model queries, and horizons are unconditional stores.
+    #[derive(Clone, Debug)]
+    struct NaiveSchedule {
+        geometry: Geometry,
+        timing: NandTiming,
+        mode: ChannelMode,
+        channel_free: Vec<SimTime>,
+        die_free: Vec<SimTime>,
+        busy: SimDuration,
+    }
+
+    impl NaiveSchedule {
+        fn new(geometry: Geometry, timing: NandTiming, mode: ChannelMode) -> Self {
+            NaiveSchedule {
+                geometry,
+                timing,
+                mode,
+                channel_free: vec![SimTime::ZERO; geometry.channels],
+                die_free: vec![SimTime::ZERO; geometry.dies_total()],
+                busy: SimDuration::ZERO,
+            }
+        }
+
+        fn schedule_detailed(&mut self, op: &FlashOp, earliest: SimTime) -> ScheduledOp {
+            let channel = self.geometry.channel_of_plane(op.plane);
+            let die = self.geometry.die_of_plane(op.plane);
+            let page = self.timing.page_timing(op.page_size);
+            let xfer = self.timing.transfer(op.page_size);
+            if self.mode == ChannelMode::Legacy && op.kind != OpKind::Erase {
+                let cell = match op.kind {
+                    OpKind::Read => page.read,
+                    OpKind::Program => page.program,
+                    OpKind::Erase => unreachable!("erase handled below"),
+                };
+                let start = earliest
+                    .max(self.channel_free[channel])
+                    .max(self.die_free[die]);
+                let done = start + cell + xfer;
+                self.channel_free[channel] = done;
+                self.die_free[die] = done;
+                self.busy += cell + xfer;
+                return ScheduledOp {
+                    channel,
+                    die,
+                    start,
+                    finish: done,
+                };
+            }
+            match op.kind {
+                OpKind::Read => {
+                    let sense_start = earliest.max(self.die_free[die]);
+                    let sense_done = sense_start + page.read;
+                    self.die_free[die] = sense_done;
+                    let xfer_start = sense_done.max(self.channel_free[channel]);
+                    let done = xfer_start + xfer;
+                    self.channel_free[channel] = done;
+                    self.busy += page.read + xfer;
+                    ScheduledOp {
+                        channel,
+                        die,
+                        start: sense_start,
+                        finish: done,
+                    }
+                }
+                OpKind::Program => {
+                    let xfer_start = earliest.max(self.channel_free[channel]);
+                    let xfer_done = xfer_start + xfer;
+                    self.channel_free[channel] = xfer_done;
+                    let prog_start = xfer_done.max(self.die_free[die]);
+                    let done = prog_start + page.program;
+                    self.die_free[die] = done;
+                    self.busy += page.program + xfer;
+                    ScheduledOp {
+                        channel,
+                        die,
+                        start: xfer_start,
+                        finish: done,
+                    }
+                }
+                OpKind::Erase => {
+                    let start = earliest.max(self.die_free[die]);
+                    let done = start + self.timing.erase;
+                    self.die_free[die] = done;
+                    self.busy += self.timing.erase;
+                    ScheduledOp {
+                        channel,
+                        die,
+                        start,
+                        finish: done,
+                    }
+                }
+            }
+        }
+
+        fn schedule_batch(&mut self, ops: &[FlashOp], earliest: SimTime) -> SimTime {
+            ops.iter().fold(earliest, |finish, op| {
+                finish.max(self.schedule_detailed(op, earliest).finish)
+            })
+        }
+
+        fn all_idle_at(&self) -> SimTime {
+            self.channel_free
+                .iter()
+                .chain(self.die_free.iter())
+                .copied()
+                .fold(SimTime::ZERO, SimTime::max)
+        }
+    }
 
     fn op_from(code: u8, plane: usize) -> FlashOp {
         let size = if code & 1 == 0 {
@@ -893,29 +781,29 @@ mod equivalence {
 
     proptest! {
         #[test]
-        fn wheel_matches_naive_schedule(
+        fn schedule_matches_reference(
             ops in proptest::collection::vec((0u8..6, 0usize..8, 0u64..3), 1..200),
             legacy in proptest::bool::ANY,
         ) {
             let mode = if legacy { ChannelMode::Legacy } else { ChannelMode::Interleaved };
-            let mut wheel = ResourceSchedule::new(Geometry::TABLE_V, NandTiming::TABLE_V, mode);
-            let mut naive = NaiveSchedule::new(Geometry::TABLE_V, NandTiming::TABLE_V, mode);
+            let mut sched = ResourceSchedule::new(Geometry::TABLE_V, NandTiming::TABLE_V, mode);
+            let mut reference = NaiveSchedule::new(Geometry::TABLE_V, NandTiming::TABLE_V, mode);
             // Release times advance monotonically, as device FIFO order
             // guarantees; gaps of 0/1/2 ms mix reuse and idle skips.
             let mut earliest = SimTime::ZERO;
             for &(code, plane, gap_ms) in &ops {
-                earliest = earliest.max(wheel.all_idle_at()) + hps_core::SimDuration::from_ms(gap_ms);
+                earliest = earliest.max(sched.all_idle_at()) + SimDuration::from_ms(gap_ms);
                 let op = op_from(code, plane);
-                let got = wheel.schedule_detailed(&op, earliest);
-                let want = naive.schedule_detailed(&op, earliest);
+                let got = place(&mut sched, &op, earliest);
+                let want = reference.schedule_detailed(&op, earliest);
                 prop_assert_eq!(got, want);
-                prop_assert_eq!(wheel.all_idle_at(), naive.all_idle_at());
-                prop_assert_eq!(wheel.total_busy(), naive.total_busy());
+                prop_assert_eq!(sched.all_idle_at(), reference.all_idle_at());
+                prop_assert_eq!(sched.total_busy(), reference.busy);
             }
         }
 
         #[test]
-        fn batched_wheel_matches_naive_batches(
+        fn batched_schedule_matches_reference(
             batches in proptest::collection::vec(
                 proptest::collection::vec((0u8..6, 0usize..8), 0..12),
                 1..40,
@@ -923,33 +811,30 @@ mod equivalence {
             legacy in proptest::bool::ANY,
         ) {
             let mode = if legacy { ChannelMode::Legacy } else { ChannelMode::Interleaved };
-            let mut wheel = ResourceSchedule::new(Geometry::TABLE_V, NandTiming::TABLE_V, mode);
-            let mut naive = NaiveSchedule::new(Geometry::TABLE_V, NandTiming::TABLE_V, mode);
+            let mut sched = ResourceSchedule::new(Geometry::TABLE_V, NandTiming::TABLE_V, mode);
+            let mut reference = NaiveSchedule::new(Geometry::TABLE_V, NandTiming::TABLE_V, mode);
             let mut release = SimTime::ZERO;
             for batch in &batches {
                 let ops: Vec<FlashOp> =
                     batch.iter().map(|&(code, plane)| op_from(code, plane)).collect();
-                // A replica cloned before the batch yields the naive
+                // A replica cloned before the batch yields the reference
                 // per-op placements, so every op is compared — not just
                 // the batch max.
-                let mut replica = naive.clone();
-                let naive_placements: Vec<ScheduledOp> = ops
+                let mut replica = reference.clone();
+                let reference_placements: Vec<ScheduledOp> = ops
                     .iter()
                     .map(|op| replica.schedule_detailed(op, release))
                     .collect();
                 let mut placements = Vec::new();
-                let wheel_finish =
-                    wheel.schedule_batch_observed(&ops, release, |_, s| placements.push(s));
-                let naive_finish = naive.schedule_batch(&ops, release);
-                prop_assert_eq!(wheel_finish, naive_finish);
-                prop_assert_eq!(placements, naive_placements);
-                // Drain the wheel at the batch finish: replay-realistic and
-                // keeps the pending-event set bounded during the proptest.
-                wheel.advance_to(wheel_finish);
-                release = wheel_finish.max(release);
+                let finish =
+                    sched.schedule_batch_observed(&ops, release, |_, s| placements.push(s));
+                let reference_finish = reference.schedule_batch(&ops, release);
+                prop_assert_eq!(finish, reference_finish);
+                prop_assert_eq!(placements, reference_placements);
+                release = finish.max(release);
             }
-            prop_assert_eq!(wheel.all_idle_at(), naive.all_idle_at());
-            prop_assert_eq!(wheel.total_busy(), naive.total_busy());
+            prop_assert_eq!(sched.all_idle_at(), reference.all_idle_at());
+            prop_assert_eq!(sched.total_busy(), reference.busy);
         }
     }
 }

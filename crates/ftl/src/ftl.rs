@@ -1126,11 +1126,9 @@ impl Ftl {
 /// Runs the ECC/read-retry state machine for one distinct physical page
 /// read. Bit errors are drawn from the configured RBER model (wear- and
 /// disturb-conditioned); when they exceed the page's correction threshold,
-/// each retry re-reads at a reduced effective RBER and schedules one
-/// ladder step on the runtime's [`hps_nand::RetrySequencer`]. The
-/// sequencer's event wheel (step costs precomputed from the timing table)
-/// then drains the ladder in time order, emitting one extra flash read per
-/// step so the latency cost lands in simulated time. A read that exhausts
+/// each retry re-reads at a reduced effective RBER and emits one extra
+/// flash read on the page's plane, so the retry's latency lands in
+/// simulated time just ahead of the page's own read. A read that exhausts
 /// the retry budget is recorded as an uncorrectable-ECC event — the
 /// simulator still completes it, since payload contents are not modeled.
 fn ecc_read_retry(
@@ -1166,11 +1164,8 @@ fn ecc_read_retry(
             break false;
         }
         retries += 1;
-        f.retries.schedule(ppn.plane, page_size, retries);
+        ops.push(FlashOp::read(ppn.plane, page_size));
     };
-    f.retries.drain(|step| {
-        ops.push(FlashOp::read(step.plane, step.page_size));
-    });
     f.stats.record_read(retries, corrected);
 }
 
@@ -1528,18 +1523,30 @@ mod tests {
             ftl.write_chunk(0, Bytes::kib(4), &[Lpn(i)], Bytes::kib(4))
                 .unwrap();
         }
-        let lpns: Vec<Lpn> = (0..8).map(Lpn).collect();
         let mut ops = Vec::new();
         let mut unmapped = Vec::new();
         for _ in 0..16 {
-            ftl.read_ops_into(&lpns, &mut ops, &mut unmapped);
+            for i in 0..8u64 {
+                let retries_before = ftl.fault_stats().unwrap().read_retries;
+                let first = ops.len();
+                ftl.read_ops_into(&[Lpn(i)], &mut ops, &mut unmapped);
+                let retries = ftl.fault_stats().unwrap().read_retries - retries_before;
+                // The page's retry reads come first, then its own read, all
+                // on the page's plane at its page size.
+                let ppn = ftl.mapping.lookup(Lpn(i)).unwrap();
+                assert_eq!(ops.len() - first, retries as usize + 1);
+                assert!(ops[first..]
+                    .iter()
+                    .all(|op| *op == FlashOp::read(ppn.plane, Bytes::kib(4))));
+            }
         }
         let stats = ftl.fault_stats().unwrap();
         assert!(stats.read_retries > 0, "half the reads need a retry");
         assert!(stats.corrected_reads > 0, "retries must correct some");
-        assert!(
-            ops.len() as u64 >= 16 * 8 + stats.read_retries,
-            "each retry costs one extra flash read"
+        assert_eq!(
+            ops.len() as u64,
+            16 * 8 + stats.read_retries,
+            "each retry costs exactly one extra flash read"
         );
         let depth_total: u64 = stats.retry_depth.iter().sum();
         assert_eq!(depth_total, 16 * 8, "one histogram entry per physical read");

@@ -48,7 +48,7 @@ use crate::addr::{Lpn, Ppn};
 use crate::ftl::Ftl;
 use crate::mapping::{MappingTable, ResidentTable};
 use hps_core::{Bytes, Error, FxHashMap, Result};
-use hps_nand::{FaultConfig, FaultStats, NandTiming, PageAddr, PageState, RetrySequencer};
+use hps_nand::{FaultConfig, FaultStats, PageAddr, PageState};
 
 #[cfg(any(debug_assertions, feature = "sanitize"))]
 use hps_core::audit::{enforce, ShadowFlash};
@@ -93,12 +93,6 @@ pub(crate) struct FaultRuntime {
     /// Set when spares ran out: the device is read-only and the string
     /// records which pool degraded first.
     pub read_only: Option<String>,
-    /// ECC read-retry ladder scheduler: steps are placed on the core event
-    /// wheel with costs precomputed from the timing table, instead of each
-    /// retry re-deriving its own delay. Its wheel is an FTL-internal
-    /// ordering clock; the device resource schedule still prices every
-    /// emitted retry `FlashOp`, which keeps replays byte-identical.
-    pub retries: RetrySequencer,
 }
 
 impl FaultRuntime {
@@ -113,7 +107,6 @@ impl FaultRuntime {
             mutations: 0,
             crash_after: None,
             read_only: None,
-            retries: RetrySequencer::new(&NandTiming::TABLE_V),
         }
     }
 

@@ -19,13 +19,9 @@
 //! * [`faults`] — deterministic, seed-driven fault injection: program/erase
 //!   failure draws, a wear- and disturb-dependent raw bit-error model, and
 //!   the reliability counters the FTL's recovery machinery accumulates.
-//! * [`retry`] — the ECC read-retry ladder sequencer, built on the core
-//!   calendar-queue event wheel so retry steps are scheduled once from the
-//!   timing table instead of re-deriving ad-hoc delays per attempt.
 //!
 //! The crate holds *state and legality*, not time: the discrete-event
-//! scheduling of channel and die occupancy lives in `hps-emmc` (the retry
-//! sequencer's wheel is an internal ordering clock, not the device clock).
+//! scheduling of channel and die occupancy lives in `hps-emmc`.
 
 #![deny(missing_docs)]
 
@@ -33,7 +29,6 @@ pub mod block;
 pub mod faults;
 pub mod geometry;
 pub mod plane;
-pub mod retry;
 pub mod timing;
 pub mod wear;
 
@@ -41,6 +36,5 @@ pub use block::{Block, PageState};
 pub use faults::{FaultConfig, FaultStats};
 pub use geometry::{Geometry, PlaneAddr};
 pub use plane::{BlockId, PageAddr, Plane};
-pub use retry::{RetryAttempt, RetrySequencer};
 pub use timing::{NandTiming, PageTiming};
 pub use wear::{WearProfile, WearStats};

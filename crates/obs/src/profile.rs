@@ -299,7 +299,7 @@ pub struct PhaseTimer {
 }
 
 /// Scoped guard for a *run* of same-class operations dispatched as one
-/// batch (the event-wheel `schedule_batch` transaction). One guard covers
+/// batch (one `schedule_batch` call). One guard covers
 /// the whole run — one timestamp pair instead of one per op — while
 /// [`RunPhaseTimer::bump`] counts each op so the report's entries/req
 /// column stays comparable with per-op instrumentation. The per-entry

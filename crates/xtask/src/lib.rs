@@ -5,7 +5,7 @@
 //! about *this* simulator's determinism and error discipline. The engine
 //! lexes real Rust (raw strings, nested block comments, lifetimes vs.
 //! char literals, doc comments), parses a brace tree with item
-//! boundaries and `#[cfg(test)]` regions, and evaluates thirteen rules
+//! boundaries and `#[cfg(test)]` regions, and evaluates twelve rules
 //! over the token stream — see [`rules::Rule`] for the catalogue and
 //! DESIGN.md §12 for the architecture.
 //!

@@ -1,6 +1,6 @@
 //! The lint rules, evaluated over the token stream and scope tree.
 //!
-//! Nine rules are ports of the old line-regex pass (with `phase-timer`
+//! Eight rules are ports of the old line-regex pass (with `phase-timer`
 //! subsumed by the scope-aware `guard-balance`); four are new and only
 //! expressible on tokens + scopes:
 //!
@@ -39,8 +39,6 @@ pub enum Rule {
     HotPathAlloc,
     /// Discarded `Result` of a fault-handling/recovery API.
     ErrorPath,
-    /// Hand-rolled per-resource busy-until arrays outside the event wheel.
-    BusyUntil,
     /// Zero-width or leaked profiler span guards.
     GuardBalance,
     /// Hash-order iteration that can reach output.
@@ -62,7 +60,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::MissingDocs,
     Rule::HotPathAlloc,
     Rule::ErrorPath,
-    Rule::BusyUntil,
     Rule::GuardBalance,
     Rule::NondetIter,
     Rule::FloatAccum,
@@ -81,7 +78,6 @@ impl Rule {
             Rule::MissingDocs => "missing-docs",
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::ErrorPath => "error-path",
-            Rule::BusyUntil => "busy-until",
             Rule::GuardBalance => "guard-balance",
             Rule::NondetIter => "nondet-iter",
             Rule::FloatAccum => "float-accum",
@@ -119,11 +115,6 @@ impl Rule {
                  (recover/arm_crash/write_chunk/retire_and_replace); a \
                  swallowed PowerLoss or ReadOnly is silent data loss"
             }
-            Rule::BusyUntil => {
-                "per-resource busy-until time array outside hps_core::event; \
-                 schedule through ResourceTimeline so availability stays on \
-                 the calendar-queue wheel"
-            }
             Rule::GuardBalance => {
                 "profiler span guard does not span its scope: a bare or \
                  `let _ =` guard drops immediately and measures nothing, a \
@@ -145,7 +136,7 @@ impl Rule {
             Rule::ClockDomain => {
                 "integer-literal SimTime/SimDuration constructor outside a \
                  timing table; magic durations belong in named const timing \
-                 parameters (hps_nand::timing, hps_core::event) so the clock \
+                 parameters (hps_nand::timing) so the clock \
                  domain stays auditable"
             }
             Rule::DeadWaiver => {
@@ -186,17 +177,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/ftl/src/gc.rs",
 ];
 
-/// The one module allowed to own per-resource time arrays.
-const TIMELINE_OWNER: &str = "crates/core/src/event.rs";
-
 /// Modules allowed to construct literal-valued simulated times: the NAND
-/// timing tables (Table V parameters), the event wheel's bucket geometry,
-/// and the time type's own definition.
-const CLOCK_OWNERS: &[&str] = &[
-    "crates/nand/src/timing.rs",
-    "crates/core/src/event.rs",
-    "crates/core/src/time.rs",
-];
+/// timing tables (Table V parameters) and the time type's own definition.
+const CLOCK_OWNERS: &[&str] = &["crates/nand/src/timing.rs", "crates/core/src/time.rs"];
 
 /// Modules whose job *is* float accumulation and that already canonicalize
 /// the order (fixed bucket arrays, sorted merges).
@@ -319,7 +302,6 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Hit> {
     path_rules(ctx, &mut hits);
     call_rules(ctx, &mut hits);
     error_path(ctx, &mut hits);
-    busy_until(ctx, &mut hits);
     guard_balance(ctx, &mut hits);
     nondet_iter(ctx, &mut hits);
     float_accum(ctx, &mut hits);
@@ -434,45 +416,6 @@ fn error_path(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
                 break;
             }
             j += 1;
-        }
-    }
-}
-
-/// `busy-until`: hand-rolled time-horizon arrays outside the event wheel.
-fn busy_until(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
-    if ctx.rel == TIMELINE_OWNER || matches!(ctx.kind, FileKind::Test | FileKind::Bench) {
-        return;
-    }
-    for i in 0..ctx.code.len() {
-        if ctx.in_test(i) {
-            continue;
-        }
-        // Vec<SimTime>
-        if ctx.is_ident(i, "Vec")
-            && ctx.txt(i + 1) == "<"
-            && ctx.txt(i + 2) == "SimTime"
-            && ctx.txt(i + 3) == ">"
-        {
-            push(hits, ctx, i, Rule::BusyUntil);
-        }
-        // vec![SimTime::ZERO; …]
-        if ctx.is_ident(i, "vec")
-            && ctx.txt(i + 1) == "!"
-            && ctx.txt(i + 2) == "["
-            && ctx.txt(i + 3) == "SimTime"
-            && ctx.txt(i + 4) == "::"
-            && ctx.txt(i + 5) == "ZERO"
-        {
-            push(hits, ctx, i, Rule::BusyUntil);
-        }
-        // [SimTime::ZERO; N]
-        if ctx.txt(i) == "["
-            && ctx.txt(i + 1) == "SimTime"
-            && ctx.txt(i + 2) == "::"
-            && ctx.txt(i + 3) == "ZERO"
-            && ctx.txt(i + 4) == ";"
-        {
-            push(hits, ctx, i, Rule::BusyUntil);
         }
     }
 }

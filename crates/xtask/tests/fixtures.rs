@@ -99,15 +99,6 @@ fn error_path_fires() {
 }
 
 #[test]
-fn busy_until_fires() {
-    assert_fires(
-        Rule::BusyUntil,
-        "crates/emmc/src/fixture.rs",
-        include_str!("fixtures/busy_until.rs"),
-    );
-}
-
-#[test]
 fn guard_balance_fires() {
     assert_fires(
         Rule::GuardBalance,
