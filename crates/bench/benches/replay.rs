@@ -1,10 +1,13 @@
 //! Replay-loop benchmarks: per-request cost of the allocation-free device
-//! hot path (read, write, and GC-pressure steady states), and whole-replay
-//! wall clock of the streaming engine at increasing `--scale` factors.
+//! hot path (read, write, and GC-pressure steady states), whole-replay
+//! wall clock of the streaming engine at increasing `--scale` factors, and
+//! the log histogram that holds every per-request distribution of a
+//! replay's metrics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hps_core::{Bytes, Direction, IoRequest, SimTime};
 use hps_emmc::{DeviceConfig, EmmcDevice, PowerConfig, SchemeKind};
+use hps_obs::LogHistogram;
 use hps_workloads::{by_name, stream};
 use std::hint::black_box;
 
@@ -110,5 +113,35 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hot_path, bench_scale);
+/// `LogHistogram::observe` (once per request for response and service
+/// time) and `merge` of two histograms with every bucket occupied (the
+/// per-device fold into a fleet or summary registry).
+fn bench_log_histogram(c: &mut Criterion) {
+    let mut group = c.benchmark_group("log_histogram");
+    // One value per bucket, underflow to overflow: 0.75 × 2^e lands in a
+    // bucket of its own for every exponent from -20 to 45.
+    let samples: Vec<f64> = (-20..=45).map(|e| 0.75 * 2f64.powi(e)).collect();
+
+    group.bench_function("observe", |b| {
+        let mut h = LogHistogram::new();
+        let mut i = 0;
+        b.iter(|| {
+            black_box(&mut h).observe(samples[i]);
+            i = (i + 1) % samples.len();
+        });
+    });
+
+    group.bench_function("merge", |b| {
+        let mut full = LogHistogram::new();
+        for &v in &samples {
+            full.observe(v);
+        }
+        let mut acc = full.clone();
+        b.iter(|| black_box(&mut acc).merge(black_box(&full)));
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_hot_path, bench_scale, bench_log_histogram);
 criterion_main!(benches);

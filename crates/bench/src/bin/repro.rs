@@ -115,155 +115,199 @@ const EXPERIMENTS: [&str; 21] = [
     "faults",
 ];
 
+/// Every setting the command line can change, at its default until a
+/// flag sets it.
+#[derive(Clone)]
+struct Options {
+    out_dir: String,
+    scheme: SchemeKind,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    jsonl_out: Option<String>,
+    tolerance: f64,
+    scale: u64,
+    stream: bool,
+    progress: bool,
+    profile_out: Option<String>,
+    profile_stride: u32,
+    devices: u64,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            out_dir: String::from("experiments"),
+            scheme: SchemeKind::Hps,
+            trace_out: None,
+            metrics_out: None,
+            jsonl_out: None,
+            tolerance: 0.0,
+            scale: 1,
+            stream: false,
+            progress: false,
+            profile_out: None,
+            profile_stride: 64,
+            devices: 256,
+        }
+    }
+}
+
+impl Options {
+    /// Stores one flag's value; `None` rejects it.
+    fn set(&mut self, flag: &str, v: &str) -> Option<()> {
+        match flag {
+            "--out" => self.out_dir = v.to_string(),
+            "--jobs" => hps_core::par::set_jobs(positive(v)?),
+            "--scale" => self.scale = positive(v)?,
+            "--scheme" => self.scheme = parse_scheme(v)?,
+            "--stream" => self.stream = true,
+            "--progress" => self.progress = true,
+            "--trace-out" => self.trace_out = Some(v.to_string()),
+            "--metrics-out" => self.metrics_out = Some(v.to_string()),
+            "--jsonl-out" => self.jsonl_out = Some(v.to_string()),
+            "--profile-stride" => self.profile_stride = positive(v)?,
+            "--profile-out" => self.profile_out = Some(v.to_string()),
+            "--devices" => self.devices = positive(v)?,
+            "--tolerance" => self.tolerance = v.parse().ok().filter(|t: &f64| *t >= 0.0)?,
+            _ => return None,
+        }
+        Some(())
+    }
+}
+
+/// The kind of value a flag takes (a switch takes none): whether it
+/// consumes the next argument, how the usage text shows it, and what its
+/// usage error says.
+#[derive(Clone, Copy)]
+enum Value {
+    Switch,
+    Dir,
+    File,
+    Count,
+    NonNegative,
+    Scheme,
+}
+
+impl Value {
+    /// The usage text's placeholder for the value.
+    fn placeholder(self) -> &'static str {
+        match self {
+            Value::Switch => "",
+            Value::Dir => " DIR",
+            Value::File => " FILE",
+            Value::Count => " N",
+            Value::NonNegative => " F",
+            Value::Scheme => " 4PS|8PS|HPS",
+        }
+    }
+
+    /// The usage error for a missing or rejected value of `flag`.
+    fn error(self, flag: &str, got: Option<&str>) -> String {
+        match self {
+            Value::Switch => format!("{flag} takes no value"),
+            Value::Dir => format!("{flag} requires a directory"),
+            Value::File => format!("{flag} requires a file path"),
+            Value::Count => format!("{flag} requires a positive integer"),
+            Value::NonNegative => format!("{flag} requires a non-negative number"),
+            Value::Scheme => format!("{flag} requires 4PS, 8PS, or HPS (got {got:?})"),
+        }
+    }
+}
+
+/// Every flag with its value kind and help text: drives both argument
+/// parsing and the usage text.
+#[rustfmt::skip]
+const FLAGS: &[(&str, Value, &str)] = &[
+    ("--out",            Value::Dir,         "where <target>.txt files go (default: experiments)"),
+    ("--jobs",           Value::Count,       "worker-pool size (default: all cores; 1 = serial)"),
+    ("--scale",          Value::Count,       "stream N epochs per trace at O(1) memory (workloads, table4)"),
+    ("--scheme",         Value::Scheme,      "scheme of a workload replay (default: HPS)"),
+    ("--stream",         Value::Switch,      "stream even at scale 1 (byte-identical metrics)"),
+    ("--progress",       Value::Switch,      "live heartbeat on stderr: rate, rss, eta, phase mix"),
+    ("--trace-out",      Value::File,        "write a replay's request lifecycle as Chrome trace JSON"),
+    ("--metrics-out",    Value::File,        "write the metrics summary of a replay or of the fleet"),
+    ("--jsonl-out",      Value::File,        "stream a replay's lifecycle events to a JSONL file"),
+    ("--profile-stride", Value::Count,       "profile every Nth request (default 64)"),
+    ("--profile-out",    Value::File,        "write flamegraph-compatible folded stacks"),
+    ("--devices",        Value::Count,       "fleet population size (default 256)"),
+    ("--tolerance",      Value::NonNegative, "relative tolerance of diff (default 0 = exact)"),
+];
+
+/// The five command forms, as the usage text lists them.
+const SYNOPSIS: [&str; 5] = [
+    "repro <experiment>... [--out DIR] [--jobs N] [--scale N]",
+    "repro <workload> [--scheme 4PS|8PS|HPS] [--scale N] [--stream] [--progress] \
+     [--trace-out FILE] [--metrics-out FILE] [--jsonl-out FILE]",
+    "repro profile <table4|workload> [--scale N] [--profile-stride N] [--profile-out FILE]",
+    "repro fleet [--devices N] [--jobs N] [--out DIR] [--metrics-out FILE]",
+    "repro diff <a.summary> <b.summary> [--tolerance F]",
+];
+
+/// An integer of at least 1.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
+    v.parse().ok().filter(|n| *n >= T::from(1))
+}
+
+fn parse_scheme(v: &str) -> Option<SchemeKind> {
+    match v {
+        "4PS" | "4ps" => Some(SchemeKind::Ps4),
+        "8PS" | "8ps" => Some(SchemeKind::Ps8),
+        "HPS" | "hps" => Some(SchemeKind::Hps),
+        _ => None,
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_dir = String::from("experiments");
+    let mut opts = Options::default();
     let mut targets: Vec<String> = Vec::new();
-    let mut scheme = SchemeKind::Hps;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut jsonl_out: Option<String> = None;
-    let mut tolerance = 0.0_f64;
-    let mut scale: u64 = 1;
-    let mut stream_replay = false;
-    let mut progress = false;
-    let mut profile_out: Option<String> = None;
-    let mut profile_stride: u32 = 64;
-    let mut devices: u64 = 256;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--tolerance" => match iter.next().and_then(|t| t.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => tolerance = t,
-                _ => {
-                    eprintln!("--tolerance requires a non-negative number");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => match iter.next() {
-                Some(dir) => out_dir = dir,
-                None => {
-                    eprintln!("--out requires a directory");
-                    std::process::exit(2);
-                }
-            },
-            "--jobs" => match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => hps_core::par::set_jobs(n),
-                _ => {
-                    eprintln!("--jobs requires a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--scheme" => match iter.next().as_deref() {
-                Some("4PS") | Some("4ps") => scheme = SchemeKind::Ps4,
-                Some("8PS") | Some("8ps") => scheme = SchemeKind::Ps8,
-                Some("HPS") | Some("hps") => scheme = SchemeKind::Hps,
-                other => {
-                    eprintln!("--scheme requires 4PS, 8PS, or HPS (got {other:?})");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-out" => match iter.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--metrics-out" => match iter.next() {
-                Some(path) => metrics_out = Some(path),
-                None => {
-                    eprintln!("--metrics-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--scale" => match iter.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => scale = n,
-                _ => {
-                    eprintln!("--scale requires a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--stream" => stream_replay = true,
-            "--progress" => progress = true,
-            "--profile-out" => match iter.next() {
-                Some(path) => profile_out = Some(path),
-                None => {
-                    eprintln!("--profile-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--profile-stride" => match iter.next().and_then(|n| n.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => profile_stride = n,
-                _ => {
-                    eprintln!("--profile-stride requires a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--devices" => match iter.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => devices = n,
-                _ => {
-                    eprintln!("--devices requires a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--jsonl-out" => match iter.next() {
-                Some(path) => jsonl_out = Some(path),
-                None => {
-                    eprintln!("--jsonl-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other => targets.push(other.to_string()),
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            print_usage();
+            return;
+        }
+        let Some(&(name, kind, _)) = FLAGS.iter().find(|(name, ..)| *name == arg) else {
+            targets.push(arg);
+            continue;
+        };
+        let value = match kind {
+            Value::Switch => Some(String::new()),
+            _ => args.next(),
+        };
+        if value.as_deref().and_then(|v| opts.set(name, v)).is_none() {
+            eprintln!("{}", kind.error(name, value.as_deref()));
+            std::process::exit(2);
         }
     }
-    if targets.first().map(String::as_str) == Some("diff") {
-        match &targets[1..] {
-            [a, b] => std::process::exit(diff_cmd(a, b, tolerance)),
-            _ => {
-                eprintln!("usage: repro diff <a.summary> <b.summary> [--tolerance F]");
-                std::process::exit(2);
-            }
+    match (targets.first().map(String::as_str), targets.get(1..)) {
+        (Some("profile"), Some([target])) => std::process::exit(profile_cmd(target, &opts)),
+        (Some("profile"), _) => usage_error(SYNOPSIS[2]),
+        (Some("fleet"), Some([])) => std::process::exit(fleet_cmd(&opts)),
+        (Some("fleet"), _) => usage_error(SYNOPSIS[3]),
+        (Some("diff"), Some([a, b])) => std::process::exit(diff_cmd(a, b, opts.tolerance)),
+        (Some("diff"), _) => usage_error(SYNOPSIS[4]),
+        (Some(_), _) => {}
+        (None, _) => {
+            print_usage();
+            std::process::exit(2);
         }
-    }
-    if targets.first().map(String::as_str) == Some("profile") {
-        match &targets[1..] {
-            [target] => std::process::exit(profile_cmd(
-                target,
-                scale,
-                profile_stride,
-                profile_out.as_deref(),
-                progress,
-            )),
-            _ => {
-                eprintln!(
-                    "usage: repro profile <table4|workload> [--scale N] [--profile-stride N] [--profile-out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if targets.first().map(String::as_str) == Some("fleet") {
-        match &targets[1..] {
-            [] => std::process::exit(fleet_cmd(devices, &out_dir, metrics_out.as_deref())),
-            _ => {
-                eprintln!(
-                    "usage: repro fleet [--devices N] [--jobs N] [--out DIR] [--metrics-out FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if targets.is_empty() {
-        print_usage();
-        std::process::exit(2);
     }
     if targets.iter().any(|t| t == "all") {
         targets = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+    }
+    // Reject a bad target before anything runs, so a typo late in the
+    // list leaves no partial output behind.
+    for target in &targets {
+        let workload = by_name(target).is_some();
+        if opts.scale > 1 && target != "table4" && !workload {
+            eprintln!("--scale applies only to workload targets and table4 (got '{target}')");
+            std::process::exit(2);
+        }
+        if !workload && !EXPERIMENTS.contains(&target.as_str()) {
+            eprintln!("unknown experiment or workload '{target}'");
+            print_usage();
+            std::process::exit(2);
+        }
     }
 
     eprintln!("[repro] job pool: {} worker(s)", hps_core::par::jobs());
@@ -287,13 +331,9 @@ fn main() {
     for target in &targets {
         eprintln!("[repro] {target}");
         let target_started = Instant::now();
-        if scale > 1 && target != "table4" && by_name(target).is_none() {
-            eprintln!("--scale applies only to workload targets and table4 (got '{target}')");
-            std::process::exit(2);
-        }
         let output = match target.as_str() {
             "table3" => exp_table3(),
-            "table4" if scale > 1 => exp_table4_scaled(scale),
+            "table4" if opts.scale > 1 => exp_table4_scaled(opts.scale),
             "table4" => exp_table4(),
             "table5" => exp_table5(),
             "fig3" => exp_fig3(),
@@ -323,29 +363,14 @@ fn main() {
             "endurance" => endurance(),
             "stack" => stack_pipeline(),
             "faults" => exp_faults(),
-            workload if by_name(workload).is_some() => {
-                match replay_workload(
-                    workload,
-                    scheme,
-                    scale,
-                    stream_replay,
-                    progress,
-                    trace_out.as_deref(),
-                    metrics_out.as_deref(),
-                    jsonl_out.as_deref(),
-                ) {
-                    Ok(output) => output,
-                    Err(e) => {
-                        eprintln!("replay of '{workload}' failed: {e}");
-                        std::process::exit(1);
-                    }
+            // Every target was checked above: anything else is a workload.
+            workload => match replay_workload(workload, &opts) {
+                Ok(output) => output,
+                Err(e) => {
+                    eprintln!("replay of '{workload}' failed: {e}");
+                    std::process::exit(1);
                 }
-            }
-            unknown => {
-                eprintln!("unknown experiment or workload '{unknown}'");
-                print_usage();
-                std::process::exit(2);
-            }
+            },
         };
         println!("{output}");
         eprintln!(
@@ -353,8 +378,11 @@ fn main() {
             target_started.elapsed().as_secs_f64()
         );
         let file_stem = target.replace('/', "_");
-        if let Err(e) = write_output(&out_dir, &file_stem, &output) {
-            eprintln!("warning: could not write {out_dir}/{file_stem}.txt: {e}");
+        if let Err(e) = write_output(&opts.out_dir, &file_stem, &output) {
+            eprintln!(
+                "warning: could not write {}/{file_stem}.txt: {e}",
+                opts.out_dir
+            );
         }
     }
     eprintln!(
@@ -371,45 +399,35 @@ fn main() {
 /// generator instead of a materialized trace; at scale 1 the two paths
 /// produce byte-identical metrics (the stream replays the generator's
 /// exact draws).
-#[allow(clippy::too_many_arguments)]
-fn replay_workload(
-    name: &str,
-    scheme: SchemeKind,
-    scale: u64,
-    stream_replay: bool,
-    progress: bool,
-    trace_out: Option<&str>,
-    metrics_out: Option<&str>,
-    jsonl_out: Option<&str>,
-) -> Result<String, Box<dyn std::error::Error>> {
+fn replay_workload(name: &str, opts: &Options) -> Result<String, Box<dyn std::error::Error>> {
     let profile =
         by_name(name).ok_or_else(|| format!("unknown workload '{name}' (see trace-tool list)"))?;
     // Same device as `trace-tool replay`: Table V plus the write cache and
     // interleaved channels, so the two tools report comparable numbers.
-    let mut cfg = DeviceConfig::table_v(scheme).with_write_cache(Bytes::kib(512));
+    let mut cfg = DeviceConfig::table_v(opts.scheme).with_write_cache(Bytes::kib(512));
     cfg.channel_mode = ChannelMode::Interleaved;
     let mut device = EmmcDevice::new(cfg)?;
     let mut jsonl_stats = None;
-    device.attach_telemetry(if let Some(path) = jsonl_out {
+    device.attach_telemetry(if let Some(path) = &opts.jsonl_out {
         // Stream events straight to disk: constant memory however long the
         // replay runs. (`--trace-out` still needs the in-memory buffer —
         // the Chrome exporter works on the whole event list.)
-        if trace_out.is_some() {
+        if opts.trace_out.is_some() {
             return Err("--jsonl-out and --trace-out are mutually exclusive".into());
         }
         let sink = JsonlStreamSink::create(path)?;
         jsonl_stats = Some(sink.stats());
         Telemetry::with_sink(Box::new(sink))
-    } else if trace_out.is_some() {
+    } else if opts.trace_out.is_some() {
         Telemetry::tracing()
     } else {
         Telemetry::registry_only()
     });
     // `--progress` needs the request stream to flow through a wrapper, so
     // it implies the streaming engine (byte-identical metrics at scale 1).
-    let metrics = if stream_replay || scale > 1 || progress {
-        let source = stream(&profile, 42, scale);
-        if progress {
+    let metrics = if opts.stream || opts.scale > 1 || opts.progress {
+        let source = stream(&profile, 42, opts.scale);
+        if opts.progress {
             let mut source = ProgressSource::new(source);
             let metrics = device.replay_stream(&mut source)?;
             source.finish();
@@ -422,10 +440,6 @@ fn replay_workload(
         let mut trace = generate(&profile, 42);
         device.replay(&mut trace)?
     };
-    device.export_state_metrics();
-    let mut telemetry = device
-        .take_telemetry()
-        .ok_or("telemetry bundle missing after replay")?;
 
     let mut output = format!(
         "{metrics}\np50={:.3}ms p99={:.3}ms write_amp={:.3}\n",
@@ -433,8 +447,11 @@ fn replay_workload(
         metrics.p99_response_ms(),
         metrics.ftl.write_amplification()
     );
-    if let Some(path) = trace_out {
-        let events = telemetry.take_events();
+    if let Some(path) = &opts.trace_out {
+        let events = device
+            .telemetry_mut()
+            .ok_or("telemetry bundle missing after replay")?
+            .take_events();
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         write_chrome_trace(&events, std::io::BufWriter::new(file))?;
@@ -443,16 +460,14 @@ fn replay_workload(
             events.len()
         ));
     }
-    if let Some(path) = metrics_out {
-        std::fs::write(path, render_summary(&telemetry.registry))
+    if let Some(path) = &opts.metrics_out {
+        let registry = device.metrics_registry(&metrics);
+        std::fs::write(path, render_summary(&registry))
             .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-        output.push_str(&format!(
-            "wrote {} metrics to {path}\n",
-            telemetry.registry.len()
-        ));
+        output.push_str(&format!("wrote {} metrics to {path}\n", registry.len()));
     }
-    if let (Some(path), Some(stats)) = (jsonl_out, jsonl_stats) {
-        drop(telemetry); // flush the streaming sink's BufWriter
+    if let (Some(path), Some(stats)) = (&opts.jsonl_out, jsonl_stats) {
+        drop(device.take_telemetry()); // flush the streaming sink's BufWriter
         output.push_str(&format!(
             "streamed {} events to {path} ({} write errors)\n",
             stats.written(),
@@ -467,36 +482,31 @@ fn replay_workload(
 /// replay's simulated IOPS. Runs serially (`--jobs 1`) because the
 /// profiler accumulates into thread-local storage — the whole replay
 /// must happen on this thread for the report to see it.
-fn profile_cmd(
-    target: &str,
-    scale: u64,
-    stride: u32,
-    profile_out: Option<&str>,
-    progress: bool,
-) -> i32 {
+fn profile_cmd(target: &str, opts: &Options) -> i32 {
+    let stride = opts.profile_stride;
     hps_core::par::set_jobs(1);
     hps_obs::profile::set_stride(stride);
     hps_obs::profile::reset();
     eprintln!("[repro] profiling {target} (stride {stride}, serial)");
     let started = Instant::now();
     match target {
-        "table4" if scale > 1 => {
-            exp_table4_scaled(scale);
+        "table4" if opts.scale > 1 => {
+            exp_table4_scaled(opts.scale);
         }
         "table4" => {
             exp_table4();
         }
         workload if by_name(workload).is_some() => {
-            if let Err(e) = replay_workload(
-                workload,
-                SchemeKind::Hps,
-                scale,
-                false,
-                progress,
-                None,
-                None,
-                None,
-            ) {
+            // A profiled replay is always HPS and writes no artifacts.
+            let replay = Options {
+                scheme: SchemeKind::Hps,
+                stream: false,
+                trace_out: None,
+                metrics_out: None,
+                jsonl_out: None,
+                ..opts.clone()
+            };
+            if let Err(e) = replay_workload(workload, &replay) {
                 eprintln!("replay of '{workload}' failed: {e}");
                 return 1;
             }
@@ -526,7 +536,7 @@ fn profile_cmd(
         report.requests,
         wall
     );
-    if let Some(path) = profile_out {
+    if let Some(path) = &opts.profile_out {
         let folded = report.render_folded();
         if let Err(e) = std::fs::write(path, &folded) {
             eprintln!("cannot write {path}: {e}");
@@ -694,7 +704,8 @@ fn rss_display() -> String {
 /// report. Throughput and peak RSS go to stderr only — the report itself
 /// must be byte-identical at any `--jobs`, so nothing host-dependent is
 /// allowed into it.
-fn fleet_cmd(devices: u64, out_dir: &str, metrics_out: Option<&str>) -> i32 {
+fn fleet_cmd(opts: &Options) -> i32 {
+    let devices = opts.devices;
     let spec = hps_fleet::FleetSpec::default_with(devices, hps_bench::MASTER_SEED);
     eprintln!(
         "[repro] fleet: {} device(s) over {} worker(s)",
@@ -711,7 +722,7 @@ fn fleet_cmd(devices: u64, out_dir: &str, metrics_out: Option<&str>) -> i32 {
         devices as f64 / wall,
         peak_rss_display()
     );
-    if let Some(path) = metrics_out {
+    if let Some(path) = &opts.metrics_out {
         let summary = render_summary(outcome.snapshot.registry());
         if let Err(e) = std::fs::write(path, summary) {
             eprintln!("cannot write metrics to {path}: {e}");
@@ -719,8 +730,8 @@ fn fleet_cmd(devices: u64, out_dir: &str, metrics_out: Option<&str>) -> i32 {
         }
         eprintln!("[repro] fleet metrics written to {path}");
     }
-    if let Err(e) = write_output(out_dir, "fleet", &report) {
-        eprintln!("warning: could not write {out_dir}/fleet.txt: {e}");
+    if let Err(e) = write_output(&opts.out_dir, "fleet", &report) {
+        eprintln!("warning: could not write {}/fleet.txt: {e}", opts.out_dir);
     }
     0
 }
@@ -792,27 +803,20 @@ fn write_output(dir: &str, name: &str, content: &str) -> std::io::Result<()> {
     f.write_all(content.as_bytes())
 }
 
+/// Prints one command form's usage and exits with the usage-error code.
+fn usage_error(form: &str) -> ! {
+    eprintln!("usage: {form}");
+    std::process::exit(2)
+}
+
 fn print_usage() {
-    eprintln!("usage: repro <experiment>... [--out DIR] [--jobs N] [--scale N]");
-    eprintln!(
-        "       repro <workload> [--scheme 4PS|8PS|HPS] [--scale N] [--stream] [--progress] [--trace-out FILE] [--metrics-out FILE] [--jsonl-out FILE]"
-    );
-    eprintln!(
-        "       repro profile <table4|workload> [--scale N] [--profile-stride N] [--profile-out FILE]"
-    );
-    eprintln!("       repro fleet [--devices N] [--jobs N] [--out DIR] [--metrics-out FILE]");
-    eprintln!("       repro diff <a.summary> <b.summary> [--tolerance F]");
+    for (i, form) in SYNOPSIS.iter().enumerate() {
+        eprintln!("{} {form}", if i == 0 { "usage:" } else { "      " });
+    }
     eprintln!("experiments: {} all", EXPERIMENTS.join(" "));
     eprintln!("workloads:   any name from `trace-tool list` (e.g. CameraVideo, WebBrowsing)");
-    eprintln!(
-        "--jobs N:    worker-pool size for the parallel sweeps (default: all cores; 1 = serial)"
-    );
-    eprintln!(
-        "--scale N:   stream N generation epochs per trace at O(1) memory (workloads and table4)"
-    );
-    eprintln!("--stream:    use the streaming engine even at scale 1 (byte-identical metrics)");
-    eprintln!(
-        "--progress:  live heartbeat on stderr for streaming replays (rate, rss, eta, phase mix)"
-    );
-    eprintln!("--profile-out FILE: write flamegraph-compatible folded stacks (repro profile)");
+    for (name, kind, help) in FLAGS {
+        eprintln!("{:<24}{help}", format!("{name}{}", kind.placeholder()));
+    }
+    eprintln!("{:<24}print this help", "--help, -h");
 }

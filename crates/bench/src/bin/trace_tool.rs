@@ -136,8 +136,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = DeviceConfig::table_v(scheme).with_write_cache(Bytes::kib(512));
     cfg.channel_mode = ChannelMode::Interleaved;
     let mut dev = EmmcDevice::new(cfg)?;
-    let wants_telemetry = trace_out.is_some() || metrics_out.is_some();
-    if wants_telemetry {
+    if trace_out.is_some() || metrics_out.is_some() {
         dev.attach_telemetry(if trace_out.is_some() {
             Telemetry::tracing()
         } else {
@@ -152,21 +151,18 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         metrics.p99_response_ms(),
         metrics.ftl.write_amplification()
     );
-    if wants_telemetry {
-        dev.export_state_metrics();
-        let mut telemetry = dev.take_telemetry().expect("attached above");
-        if let Some(path) = trace_out {
-            let events = telemetry.take_events();
-            write_chrome_trace(&events, std::io::BufWriter::new(File::create(&path)?))?;
-            println!(
-                "wrote {} trace events to {path} (load in https://ui.perfetto.dev)",
-                events.len()
-            );
-        }
-        if let Some(path) = metrics_out {
-            std::fs::write(&path, render_summary(&telemetry.registry))?;
-            println!("wrote {} metrics to {path}", telemetry.registry.len());
-        }
+    if let Some(path) = trace_out {
+        let events = dev.telemetry_mut().expect("attached above").take_events();
+        write_chrome_trace(&events, std::io::BufWriter::new(File::create(&path)?))?;
+        println!(
+            "wrote {} trace events to {path} (load in https://ui.perfetto.dev)",
+            events.len()
+        );
+    }
+    if let Some(path) = metrics_out {
+        let registry = dev.metrics_registry(&metrics);
+        std::fs::write(&path, render_summary(&registry))?;
+        println!("wrote {} metrics to {path}", registry.len());
     }
     Ok(())
 }
@@ -181,9 +177,7 @@ fn cmd_summary(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     cfg.channel_mode = ChannelMode::Interleaved;
     let mut dev = EmmcDevice::new(cfg)?;
     dev.attach_telemetry(Telemetry::registry_only());
-    dev.replay(&mut trace)?;
-    dev.export_state_metrics();
-    let telemetry = dev.take_telemetry().expect("attached above");
-    print!("{}", render_summary(&telemetry.registry));
+    let metrics = dev.replay(&mut trace)?;
+    print!("{}", render_summary(&dev.metrics_registry(&metrics)));
     Ok(())
 }

@@ -80,3 +80,29 @@ fn malformed_flag_values_are_usage_errors() {
         assert!(!stderr_of(&out).contains("panicked"), "args {args:?}");
     }
 }
+
+#[test]
+fn a_bad_target_anywhere_in_the_list_runs_nothing() {
+    for (i, args) in [
+        ["fig3", "Bogus"].as_slice(),
+        ["table4", "fig3", "--scale", "2"].as_slice(),
+        ["fig8", "--scale", "2"].as_slice(),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let out_dir = std::env::temp_dir().join(format!("repro-cli-{}-{i}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let out = repro()
+            .args(args)
+            .arg("--out")
+            .arg(&out_dir)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert!(out.stdout.is_empty(), "args {args:?} printed output");
+        let wrote = std::fs::read_dir(&out_dir).is_ok_and(|mut d| d.next().is_some());
+        let _ = std::fs::remove_dir_all(&out_dir);
+        assert!(!wrote, "args {args:?} wrote under --out");
+    }
+}

@@ -10,8 +10,8 @@
 //!   traces, workload generators, and the device simulator exchange.
 //! * [`rng`] — deterministic random sampling (the whole reproduction is
 //!   seeded; re-running any experiment yields identical numbers).
-//! * [`stats`] — running summary statistics and histograms used to compute
-//!   the paper's tables and figures.
+//! * [`stats`] — the fixed-edge histogram and sample quantiles behind the
+//!   paper's bucketed figures.
 //! * [`par`] — a scoped-thread work-stealing job pool; the experiment
 //!   harness fans independent replays out through it while preserving
 //!   result order (parallel runs stay byte-identical to serial ones).
@@ -48,6 +48,6 @@ pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use request::{Direction, IoRequest, RequestId};
 pub use rng::{derive_seed, SimRng};
 pub use scratch::{InlineVec, ReplayScratch};
-pub use stats::{Histogram, RunningStats};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use units::Bytes;

@@ -1,170 +1,9 @@
-//! Summary statistics and histograms.
+//! Fixed-edge histograms and quantiles.
 //!
-//! The paper's tables are built from running means, percentages, and bucketed
-//! distributions. [`RunningStats`] accumulates count/mean/min/max/variance in
-//! one pass (Welford's algorithm); [`Histogram`] buckets samples against
-//! caller-supplied edges, which is exactly how Figs. 4–6 categorize request
-//! sizes, response times, and inter-arrival times.
-
-use core::fmt;
-
-/// One-pass summary statistics (Welford).
-///
-/// # Example
-///
-/// ```
-/// use hps_core::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.count(), 4);
-/// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 4.0);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of samples pushed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Smallest sample; `0.0` when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample; `0.0` when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Population variance; `0.0` with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// `true` if no samples were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-}
-
-impl Extend<f64> for RunningStats {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for RunningStats {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = RunningStats::new();
-        s.extend(iter);
-        s
-    }
-}
-
-impl fmt::Display for RunningStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} min={:.3} max={:.3} sd={:.3}",
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max(),
-            self.std_dev()
-        )
-    }
-}
+//! [`Histogram`] buckets samples against caller-supplied edges, which is
+//! exactly how Figs. 4–6 categorize request sizes, response times, and
+//! inter-arrival times; [`quantile`] interpolates between the order
+//! statistics of a sample set.
 
 /// A histogram over caller-supplied upper bucket edges.
 ///
@@ -312,53 +151,6 @@ pub fn quantile_sorted(samples: &[f64], q: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_stats_basic() {
-        let s: RunningStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(s.count(), 8);
-        assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.variance(), 4.0);
-        assert_eq!(s.std_dev(), 2.0);
-        assert_eq!(s.sum(), 40.0);
-    }
-
-    #[test]
-    fn running_stats_empty_is_zeroed() {
-        let s = RunningStats::new();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let seq: RunningStats = all.iter().copied().collect();
-        let mut left: RunningStats = all[..37].iter().copied().collect();
-        let right: RunningStats = all[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), seq.count());
-        assert!((left.mean() - seq.mean()).abs() < 1e-9);
-        assert!((left.variance() - seq.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), seq.min());
-        assert_eq!(left.max(), seq.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: RunningStats = [1.0, 2.0].into_iter().collect();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.count(), 2);
-        let mut b = RunningStats::new();
-        b.merge(&a);
-        assert_eq!(b.count(), 2);
-        assert_eq!(b.mean(), 1.5);
-    }
 
     #[test]
     fn histogram_bucketing_is_inclusive_upper() {

@@ -19,7 +19,7 @@ use hps_core::scratch::ReplayScratch;
 use hps_core::{Bytes, Direction, Error, IoRequest, Result, SimDuration, SimTime};
 use hps_ftl::{FlashOp, Ftl, FtlConfig, Lpn, OpKind, RecoveryReport};
 use hps_nand::NandTiming;
-use hps_obs::{AckKind, Event, EventKind, OpClass, Telemetry};
+use hps_obs::{AckKind, Event, EventKind, MetricsRegistry, OpClass, Telemetry};
 use hps_trace::{Trace, TraceRecord, TraceSource};
 
 /// The device's concrete scratch-buffer bundle (see
@@ -244,20 +244,22 @@ impl EmmcDevice {
         self.telemetry.take()
     }
 
-    /// Exports end-of-run device state into the attached registry: FTL
-    /// lifetime counters, mapping size, space accounting, wear summary,
-    /// schedule busy time, and power totals. No-op without telemetry.
-    pub fn export_state_metrics(&mut self) {
-        let Some(tel) = &mut self.telemetry else {
-            return;
-        };
-        self.ftl.export_metrics(&mut tel.registry);
-        tel.registry
-            .add("emmc.sched.busy_ms", self.sched.total_busy().as_ms());
-        tel.registry
-            .add("power.mode_switches", self.power.mode_switches());
-        tel.registry
-            .add("power.time_asleep_ms", self.power.time_asleep().as_ms());
+    /// The metrics summary of a replay (what `--metrics-out` writes):
+    /// `metrics`' own export ([`ReplayMetrics::to_registry`]) plus the
+    /// service-time histogram, the mapping size and the schedule's busy
+    /// time, merged with whatever the attached telemetry collected. Each
+    /// name has exactly one source, and the device is left untouched, so
+    /// calling this twice yields the same summary.
+    pub fn metrics_registry(&self, metrics: &ReplayMetrics) -> MetricsRegistry {
+        let mut registry = metrics.to_registry();
+        let service = registry.histogram("emmc.service_ms");
+        registry.merge_histogram(service, &metrics.service_ms);
+        registry.add("ftl.map.mapped_lpns", self.ftl.mapped_lpns() as u64);
+        registry.add("emmc.sched.busy_ms", self.sched.total_busy().as_ms());
+        if let Some(tel) = &self.telemetry {
+            registry.merge(&tel.registry);
+        }
+        registry
     }
 
     /// The configuration in force.
@@ -378,24 +380,20 @@ impl EmmcDevice {
             && arrival.saturating_since(self.busy_until) >= self.config.idle_gc_min_gap
         {
             scratch.ops.clear();
-            self.ftl
-                .idle_gc_observed_into(self.telemetry.as_mut(), &mut scratch.ops)?;
+            self.ftl_call(|ftl| ftl.idle_gc_into(&mut scratch.ops))?;
             if !scratch.ops.is_empty() {
                 self.idle_gc_passes += 1;
                 let gc_start = self.busy_until;
                 let gc_finish = self.schedule_ops(&scratch.ops, gc_start, None);
-                if let Some(tel) = &mut self.telemetry {
-                    tel.registry.add("emmc.gc.idle_passes", 1);
-                    if tel.recording() {
-                        tel.emit(Event::span(
-                            gc_start,
-                            gc_finish.saturating_since(gc_start),
-                            EventKind::GcPass {
-                                ops: scratch.ops.len() as u32,
-                                idle: true,
-                            },
-                        ));
-                    }
+                if let Some(tel) = self.telemetry.as_mut().filter(|tel| tel.recording()) {
+                    tel.emit(Event::span(
+                        gc_start,
+                        gc_finish.saturating_since(gc_start),
+                        EventKind::GcPass {
+                            ops: scratch.ops.len() as u32,
+                            idle: true,
+                        },
+                    ));
                 }
                 self.busy_until = self.busy_until.max(gc_finish);
             }
@@ -549,6 +547,25 @@ impl EmmcDevice {
         }
     }
 
+    /// Runs one FTL write or idle-GC call. With telemetry attached, the
+    /// call's collections record their mean migration cost in
+    /// `ftl.gc.migrated_pages_per_run`; without it, no stats are read.
+    fn ftl_call(&mut self, call: impl FnOnce(&mut Ftl) -> Result<()>) -> Result<()> {
+        let Some(tel) = &mut self.telemetry else {
+            return call(&mut self.ftl);
+        };
+        let before = self.ftl.stats();
+        let result = call(&mut self.ftl);
+        let after = self.ftl.stats();
+        let runs = after.gc_runs - before.gc_runs;
+        if runs > 0 {
+            let migrated = (after.gc_programs - before.gc_programs) as f64 / runs as f64;
+            tel.registry
+                .record("ftl.gc.migrated_pages_per_run", migrated);
+        }
+        result
+    }
+
     /// Updates request-level counters/histograms and emits lifecycle
     /// events for one served request. No-op without telemetry.
     #[allow(clippy::too_many_arguments)]
@@ -570,31 +587,17 @@ impl EmmcDevice {
         let arrival = request.arrival;
         let response = finish.saturating_since(arrival);
         let queue_wait = service_start.saturating_since(arrival);
-        tel.registry.add("emmc.requests", 1);
-        match request.direction {
-            Direction::Read => {
-                tel.registry.add("emmc.requests.read", 1);
-                tel.registry.add("emmc.bytes.read", request.size.as_u64());
-            }
-            Direction::Write => {
-                tel.registry.add("emmc.requests.write", 1);
-                tel.registry
-                    .add("emmc.bytes.written", request.size.as_u64());
-            }
-        }
-        if queue_wait.is_zero() {
-            tel.registry.add("emmc.requests.nowait", 1);
-        }
+        // Request counts and response/service times are the replay
+        // metrics' facts; the registry holds only what they do not.
+        let bytes = match request.direction {
+            Direction::Read => "emmc.bytes.read",
+            Direction::Write => "emmc.bytes.written",
+        };
+        tel.registry.add(bytes, request.size.as_u64());
         tel.registry
             .record("emmc.request_kib", request.size.as_u64() as f64 / 1024.0);
         tel.registry
             .record("emmc.queue_wait_ms", queue_wait.as_ms_f64());
-        tel.registry
-            .record("emmc.response_ms", response.as_ms_f64());
-        tel.registry.record(
-            "emmc.service_ms",
-            finish.saturating_since(service_start).as_ms_f64(),
-        );
         if !wakeup.is_zero() {
             tel.registry.add("power.wakeups", 1);
             tel.registry.record("power.wakeup_ms", wakeup.as_ms_f64());
@@ -734,13 +737,13 @@ impl EmmcDevice {
                 Direction::Read => metrics.reads += 1,
                 Direction::Write => metrics.writes += 1,
             }
-            let response_ms = completion
-                .finish
-                .saturating_since(request.arrival)
-                .as_ms_f64();
-            metrics.response_ms.push(response_ms);
-            metrics.push_response_sample(response_ms);
-            metrics.service_ms.push(
+            metrics.push_response_sample(
+                completion
+                    .finish
+                    .saturating_since(request.arrival)
+                    .as_ms_f64(),
+            );
+            metrics.service_ms.observe(
                 completion
                     .finish
                     .saturating_since(completion.service_start)
@@ -797,14 +800,15 @@ impl EmmcDevice {
                 for chunk in &scratch.chunks {
                     let plane = self.pick_plane();
                     let ops_before = scratch.ops.len();
-                    match self.ftl.write_chunk_observed_into(
-                        plane,
-                        chunk.page_size,
-                        &chunk.lpns,
-                        chunk.data,
-                        self.telemetry.as_mut(),
-                        &mut scratch.ops,
-                    ) {
+                    match self.ftl_call(|ftl| {
+                        ftl.write_chunk_into(
+                            plane,
+                            chunk.page_size,
+                            &chunk.lpns,
+                            chunk.data,
+                            &mut scratch.ops,
+                        )
+                    }) {
                         Ok(()) => {}
                         Err(Error::CapacityExhausted { .. }) => {
                             // The failed attempt's ops (inline GC before the
@@ -893,20 +897,11 @@ impl EmmcDevice {
         if chunk.page_size == k8 && self.config.scheme.has_4k() {
             for &lpn in &chunk.lpns {
                 let plane = self.pick_plane();
-                self.ftl
-                    .write_chunk_observed_into(plane, k4, &[lpn], k4, self.telemetry.as_mut(), ops)
+                self.ftl_call(|ftl| ftl.write_chunk_into(plane, k4, &[lpn], k4, ops))
                     .map_err(collapse)?;
             }
         } else if chunk.page_size == k4 && self.config.scheme.has_8k() {
-            self.ftl
-                .write_chunk_observed_into(
-                    plane,
-                    k8,
-                    &chunk.lpns,
-                    chunk.data,
-                    self.telemetry.as_mut(),
-                    ops,
-                )
+            self.ftl_call(|ftl| ftl.write_chunk_into(plane, k8, &chunk.lpns, chunk.data, ops))
                 .map_err(collapse)?;
         } else {
             return Err(exhausted());

@@ -1,7 +1,7 @@
 //! Measurements collected over one trace replay.
 
 use core::fmt;
-use hps_core::{RunningStats, SimDuration};
+use hps_core::SimDuration;
 use hps_ftl::{FtlStats, SpaceAccounting};
 use hps_nand::WearStats;
 use hps_obs::{LogHistogram, MetricsRegistry};
@@ -28,10 +28,8 @@ pub struct ReplayMetrics {
     pub trace_name: String,
     /// Scheme label (`"4PS"`, `"8PS"`, `"HPS"`).
     pub scheme: String,
-    /// Response times in milliseconds (finish − arrival).
-    pub response_ms: RunningStats,
     /// Service times in milliseconds (finish − service start).
-    pub service_ms: RunningStats,
+    pub service_ms: LogHistogram,
     /// Requests that found the device idle on arrival.
     pub nowait_requests: u64,
     /// Total requests replayed.
@@ -61,8 +59,9 @@ pub struct ReplayMetrics {
     /// [`ReplayMetrics::push_response_sample`] so the sorted cache and the
     /// histogram stay coherent.
     pub(crate) response_samples_ms: Vec<f64>,
-    /// Constant-size accumulator fed with *every* response sample — the
-    /// source of truth once the raw sample vector hits its cap, and what
+    /// Constant-size accumulator fed with *every* response sample
+    /// (finish − arrival) — the source of the mean, of percentiles once
+    /// the raw sample vector hits its cap, and of what
     /// [`ReplayMetrics::to_registry`] exports.
     pub(crate) response_hist: LogHistogram,
     /// Lazily sorted copy of the samples, built on the first percentile
@@ -74,7 +73,7 @@ pub struct ReplayMetrics {
 impl ReplayMetrics {
     /// Mean response time in milliseconds — the Fig. 8 metric.
     pub fn mean_response_ms(&self) -> f64 {
-        self.response_ms.mean()
+        self.response_hist.mean()
     }
 
     /// Mean service time in milliseconds.
@@ -233,7 +232,7 @@ mod tests {
     fn with_responses(values: &[f64]) -> ReplayMetrics {
         let mut m = ReplayMetrics::default();
         for &v in values {
-            m.response_ms.push(v);
+            m.push_response_sample(v);
         }
         m.total_requests = values.len() as u64;
         m
@@ -282,8 +281,6 @@ mod tests {
         let mut m = with_responses(&[1.0, 2.0]);
         m.reads = 1;
         m.writes = 1;
-        m.push_response_sample(1.0);
-        m.push_response_sample(2.0);
         let reg = m.to_registry();
         assert_eq!(reg.counter_value("emmc.requests"), Some(2));
         assert_eq!(reg.counter_value("emmc.requests.read"), Some(1));

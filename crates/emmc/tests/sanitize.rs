@@ -5,7 +5,8 @@
 //! as they are under `--features sanitize`. A full replay therefore
 //! doubles as an end-to-end proof that normal operation — including GC
 //! under overwrite pressure and span bookkeeping — produces zero
-//! violations, and that the hooks never perturb results.
+//! violations, and that the hooks never perturb results. The same
+//! GC-heavy replay also pins where each metrics-summary name comes from.
 
 use hps_core::{Bytes, Direction, IoRequest, SimRng, SimTime};
 use hps_emmc::{DeviceConfig, EmmcDevice, PowerConfig, SchemeKind};
@@ -90,6 +91,41 @@ fn audit_hooks_do_not_perturb_results() {
         summary_a, summary_b,
         "registry summary is not deterministic"
     );
+}
+
+#[test]
+fn each_summary_name_has_one_source() {
+    // If the attached registry also counted a fact the replay metrics
+    // hold, the merged summary would report it twice.
+    for scheme in [SchemeKind::Ps4, SchemeKind::Ps8, SchemeKind::Hps] {
+        let mut trace = gc_pressure_trace(600, 7);
+        let mut dev = device(scheme);
+        dev.attach_telemetry(Telemetry::registry_only());
+        let metrics = dev.replay(&mut trace).expect("replay succeeds");
+        assert!(metrics.ftl.gc_runs > 0, "{scheme:?}: no collection");
+        let summary = dev.metrics_registry(&metrics);
+        // `Debug` spells out every counter and histogram field exactly.
+        let entries: Vec<String> = summary
+            .iter_sorted()
+            .iter()
+            .map(|(name, metric)| format!("{name} {metric:?}"))
+            .collect();
+        for (name, metric) in metrics.to_registry().iter_sorted() {
+            let own = format!("{name} {metric:?}");
+            assert!(entries.contains(&own), "{scheme:?} {name}");
+        }
+        let service = summary.histogram_value("emmc.service_ms").unwrap();
+        assert_eq!(service.count(), metrics.total_requests, "{scheme:?}");
+        assert_eq!(service.mean(), metrics.mean_service_ms(), "{scheme:?}");
+        let migrated = summary.histogram_value("ftl.gc.migrated_pages_per_run");
+        assert!(migrated.is_some(), "{scheme:?}");
+        // The five per-call FTL deltas duplicated their `ftl.lifetime.*` twins.
+        let deltas = "ftl.host_programs ftl.gc.programs ftl.gc.reads ftl.gc.runs ftl.erases";
+        for delta in deltas.split(' ') {
+            let listed = entries.iter().any(|e| e.starts_with(&format!("{delta} ")));
+            assert!(!listed, "{scheme:?} {delta}");
+        }
+    }
 }
 
 #[test]

@@ -641,161 +641,6 @@ impl Ftl {
         Ok(())
     }
 
-    /// [`Ftl::write_chunk`] with telemetry: when `tel` is present, the
-    /// per-call deltas of the FTL counters (host programs, GC reads/
-    /// programs/erases/runs) flow into the registry, and each triggered
-    /// collection records its migration cost in the
-    /// `ftl.gc.migrated_pages_per_run` histogram. Costs nothing when `tel`
-    /// is `None`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ftl::write_chunk`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Ftl::write_chunk`].
-    pub fn write_chunk_observed(
-        &mut self,
-        plane: usize,
-        page_size: Bytes,
-        lpns: &[Lpn],
-        data: Bytes,
-        tel: Option<&mut hps_obs::Telemetry>,
-    ) -> Result<Vec<FlashOp>> {
-        let mut ops = Vec::new(); // lint: allow(hot-path-alloc) — allocating wrapper; hot path uses the _into form
-        self.write_chunk_observed_into(plane, page_size, lpns, data, tel, &mut ops)?;
-        Ok(ops)
-    }
-
-    /// [`Ftl::write_chunk_observed`] appending into a caller-owned buffer
-    /// (not cleared first); the allocation-free path for warm replay loops.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ftl::write_chunk`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Ftl::write_chunk`].
-    pub fn write_chunk_observed_into(
-        &mut self,
-        plane: usize,
-        page_size: Bytes,
-        lpns: &[Lpn],
-        data: Bytes,
-        tel: Option<&mut hps_obs::Telemetry>,
-        ops: &mut Vec<FlashOp>,
-    ) -> Result<()> {
-        let Some(tel) = tel else {
-            return self.write_chunk_into(plane, page_size, lpns, data, ops);
-        };
-        let before = self.stats;
-        let result = self.write_chunk_into(plane, page_size, lpns, data, ops);
-        self.record_stat_deltas(before, &mut tel.registry);
-        result
-    }
-
-    /// [`Ftl::idle_gc`] with telemetry (see
-    /// [`Ftl::write_chunk_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ftl::idle_gc`].
-    pub fn idle_gc_observed(
-        &mut self,
-        tel: Option<&mut hps_obs::Telemetry>,
-    ) -> Result<Vec<FlashOp>> {
-        let mut ops = Vec::new(); // lint: allow(hot-path-alloc) — allocating wrapper; hot path uses the _into form
-        self.idle_gc_observed_into(tel, &mut ops)?;
-        Ok(ops)
-    }
-
-    /// [`Ftl::idle_gc_observed`] appending into a caller-owned buffer (not
-    /// cleared first); the allocation-free path for warm replay loops.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ftl::idle_gc`].
-    pub fn idle_gc_observed_into(
-        &mut self,
-        tel: Option<&mut hps_obs::Telemetry>,
-        ops: &mut Vec<FlashOp>,
-    ) -> Result<()> {
-        let Some(tel) = tel else {
-            return self.idle_gc_into(ops);
-        };
-        let before = self.stats;
-        let result = self.idle_gc_into(ops);
-        self.record_stat_deltas(before, &mut tel.registry);
-        result
-    }
-
-    fn record_stat_deltas(&self, before: FtlStats, registry: &mut hps_obs::MetricsRegistry) {
-        let after = self.stats;
-        let deltas = [
-            (
-                "ftl.host_programs",
-                after.host_programs - before.host_programs,
-            ),
-            ("ftl.gc.programs", after.gc_programs - before.gc_programs),
-            ("ftl.gc.reads", after.gc_reads - before.gc_reads),
-            ("ftl.gc.runs", after.gc_runs - before.gc_runs),
-            ("ftl.erases", after.erases - before.erases),
-        ];
-        for (name, delta) in deltas {
-            if delta > 0 {
-                registry.add(name, delta);
-            }
-        }
-        let runs = after.gc_runs - before.gc_runs;
-        if runs > 0 {
-            let migrated = (after.gc_programs - before.gc_programs) as f64 / runs as f64;
-            registry.record("ftl.gc.migrated_pages_per_run", migrated);
-        }
-    }
-
-    /// Exports the FTL's end-of-run state into a metrics registry: the
-    /// lifetime operation counters, mapping size, space accounting, and
-    /// the wear summary (under `nand.wear.*`).
-    pub fn export_metrics(&self, registry: &mut hps_obs::MetricsRegistry) {
-        registry.add("ftl.lifetime.host_programs", self.stats.host_programs);
-        registry.add("ftl.lifetime.gc_programs", self.stats.gc_programs);
-        registry.add("ftl.lifetime.gc_reads", self.stats.gc_reads);
-        registry.add("ftl.lifetime.gc_runs", self.stats.gc_runs);
-        registry.add("ftl.lifetime.erases", self.stats.erases);
-        registry.add("ftl.map.mapped_lpns", self.mapped_lpns() as u64);
-        registry.add(
-            "ftl.space.data_written_bytes",
-            self.space.data_written().as_u64(),
-        );
-        registry.add(
-            "ftl.space.flash_consumed_bytes",
-            self.space.flash_consumed().as_u64(),
-        );
-        self.wear().record_into(registry, "nand.wear");
-        if let Some(f) = self.faults.as_deref() {
-            // Reliability counters exist only under fault injection, so the
-            // fault-free metric surface stays byte-identical.
-            let s = f.stats;
-            registry.add("ftl.reliability.program_failures", s.program_failures);
-            registry.add("ftl.reliability.erase_failures", s.erase_failures);
-            registry.add("ftl.reliability.bad_blocks", s.bad_blocks);
-            registry.add("ftl.reliability.spare_adoptions", s.spare_adoptions);
-            registry.add("ftl.reliability.read_retries", s.read_retries);
-            registry.add("ftl.reliability.corrected_reads", s.corrected_reads);
-            registry.add("ftl.reliability.uecc_events", s.uecc_events);
-            registry.add(
-                "ftl.reliability.spare_blocks_remaining",
-                self.spare_blocks_remaining() as u64,
-            );
-            for (depth, &count) in s.retry_depth.iter().enumerate() {
-                // End-of-run export, not the replay path.
-                registry.add(&format!("ftl.reliability.retry_depth.{depth}"), count);
-            }
-        }
-    }
-
     /// Logical capacity: every pool byte is addressable (the model reserves
     /// no over-provisioned space; the GC floor provides working room).
     pub fn logical_capacity(&self) -> Bytes {

@@ -79,14 +79,6 @@ pub fn write_jsonl_event<W: Write>(event: &Event, w: &mut W) -> io::Result<()> {
     )
 }
 
-/// Writes one JSON object per event, in the given order.
-pub fn write_jsonl<W: Write>(events: &[Event], mut w: W) -> io::Result<()> {
-    for event in events {
-        write_jsonl_event(event, &mut w)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +105,9 @@ mod tests {
             ),
         ];
         let mut out = Vec::new();
-        write_jsonl(&events, &mut out).unwrap();
+        for event in &events {
+            write_jsonl_event(event, &mut out).unwrap();
+        }
         let text = std::str::from_utf8(&out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -32,8 +32,8 @@
 //!   exporters (the build environment has no serde).
 //!
 //! The [`Telemetry`] bundle (registry + optional recorder) is what the
-//! simulation layers carry: `hps-emmc` attaches one to a device, `hps-ftl`
-//! and `hps-iostack` record through it when present, and `hps-bench`'s
+//! simulation layers carry: `hps-emmc` attaches one to a device,
+//! `hps-iostack` records through it when present, and `hps-bench`'s
 //! `repro`/`trace-tool` binaries expose it via `--trace-out` /
 //! `--metrics-out`.
 
@@ -53,10 +53,10 @@ pub mod table;
 pub use chrome::write_chrome_trace;
 pub use diff::{diff_summaries, parse_summary, SummaryDiff, SummaryValue};
 pub use event::{AckKind, Event, EventKind, OpClass, Track};
-pub use jsonl::{write_jsonl, write_jsonl_event};
+pub use jsonl::write_jsonl_event;
 pub use profile::{Phase, PhaseTimer, ProfileReport, RequestTimer};
 pub use registry::{CounterId, HistogramId, LogHistogram, Metric, MetricsRegistry};
-pub use sink::{NullSink, Sink, Telemetry, VecSink};
+pub use sink::{Sink, Telemetry, VecSink};
 pub use snapshot::{merge_all, MetricsSnapshot, SnapshotTreeMerger};
 pub use stream::{JsonlStreamSink, StreamStats};
 pub use summary::render_summary;

@@ -2,7 +2,7 @@
 //!
 //! The registry replaces bespoke per-layer counter structs with a single
 //! flat namespace (`layer.metric` by convention: `emmc.flash.programs`,
-//! `ftl.gc.runs`, …). Producers intern a name once to get a cheap
+//! `ftl.map.read_lookups`, …). Producers intern a name once to get a cheap
 //! [`CounterId`]/[`HistogramId`] handle, then update through the handle on
 //! the hot path; convenience by-name methods exist for cold paths.
 //! Registries from independent runs merge exactly (bucket counts are

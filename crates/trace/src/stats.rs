@@ -12,7 +12,7 @@
 
 use crate::trace::Trace;
 use hps_core::hash::FxHashSet;
-use hps_core::{Bytes, RunningStats};
+use hps_core::{Bytes, Direction, SimDuration};
 
 /// Size-related characteristics of one trace — Table III of the paper.
 ///
@@ -56,31 +56,30 @@ pub struct SizeStats {
 impl SizeStats {
     /// Computes Table III's columns for a trace.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut all = RunningStats::new();
-        let mut reads = RunningStats::new();
-        let mut writes = RunningStats::new();
+        // (requests, bytes) per direction: integer sums, divided once.
+        let mut reads = (0u64, Bytes::ZERO);
+        let mut writes = (0u64, Bytes::ZERO);
         let mut max_size = Bytes::ZERO;
         for r in trace {
-            let kib = r.request.size.as_kib_f64();
-            all.push(kib);
-            match r.direction() {
-                hps_core::Direction::Read => reads.push(kib),
-                hps_core::Direction::Write => writes.push(kib),
-            }
+            let side = match r.direction() {
+                Direction::Read => &mut reads,
+                Direction::Write => &mut writes,
+            };
+            side.0 += 1;
+            side.1 += r.request.size;
             max_size = max_size.max(r.request.size);
         }
-        let total_kib = all.sum();
-        let write_kib = writes.sum();
+        let (num_reqs, data_size) = (reads.0 + writes.0, reads.1 + writes.1);
         SizeStats {
             name: trace.name().to_string(),
-            data_size: trace.total_bytes(),
-            num_reqs: all.count(),
+            data_size,
+            num_reqs,
             max_size,
-            avg_size_kib: all.mean(),
-            avg_read_size_kib: reads.mean(),
-            avg_write_size_kib: writes.mean(),
-            write_req_pct: pct(writes.count() as f64, all.count() as f64),
-            write_size_pct: pct(write_kib, total_kib),
+            avg_size_kib: mean(data_size.as_kib_f64(), num_reqs),
+            avg_read_size_kib: mean(reads.1.as_kib_f64(), reads.0),
+            avg_write_size_kib: mean(writes.1.as_kib_f64(), writes.0),
+            write_req_pct: pct(writes.0 as f64, num_reqs as f64),
+            write_size_pct: pct(writes.1.as_u64() as f64, data_size.as_u64() as f64),
         }
     }
 }
@@ -117,28 +116,26 @@ pub struct TimingStats {
 impl TimingStats {
     /// Computes Table IV's columns for a trace.
     pub fn from_trace(trace: &Trace) -> Self {
-        let duration_s = trace.duration().as_secs_f64();
+        let duration = trace.duration();
+        let duration_s = duration.as_secs_f64();
         let n = trace.len() as f64;
 
-        let mut service = RunningStats::new();
-        let mut response = RunningStats::new();
+        let mut service = SimDuration::ZERO;
+        let mut response = SimDuration::ZERO;
         let mut nowait = 0u64;
         let mut completed = 0u64;
         for r in trace {
             if let (Some(s), Some(resp)) = (r.service_time(), r.response_time()) {
-                service.push(s.as_ms_f64());
-                response.push(resp.as_ms_f64());
+                service += s;
+                response += resp;
                 completed += 1;
                 if r.served_immediately() {
                     nowait += 1;
                 }
             }
         }
-
-        let mut interarrival = RunningStats::new();
-        for w in trace.records().windows(2) {
-            interarrival.push((w[1].arrival() - w[0].arrival()).as_ms_f64());
-        }
+        // The gaps between consecutive arrivals sum to the duration.
+        let gaps = (trace.len() as u64).saturating_sub(1);
 
         TimingStats {
             name: trace.name().to_string(),
@@ -146,11 +143,11 @@ impl TimingStats {
             arrival_rate: rate(n, duration_s),
             access_rate_kib_s: rate(trace.total_bytes().as_kib_f64(), duration_s),
             nowait_pct: pct(nowait as f64, completed as f64),
-            mean_service_ms: service.mean(),
-            mean_response_ms: response.mean(),
+            mean_service_ms: mean(service.as_ms_f64(), completed),
+            mean_response_ms: mean(response.as_ms_f64(), completed),
             spatial_locality_pct: spatial_locality(trace),
             temporal_locality_pct: temporal_locality(trace),
-            mean_interarrival_ms: interarrival.mean(),
+            mean_interarrival_ms: mean(duration.as_ms_f64(), gaps),
         }
     }
 }
@@ -196,6 +193,15 @@ fn pct(part: f64, whole: f64) -> f64 {
     }
 }
 
+/// `total / n`, or 0 when nothing was counted.
+fn mean(total: f64, n: u64) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        total / n as f64
+    }
+}
+
 fn rate(amount: f64, seconds: f64) -> f64 {
     if seconds == 0.0 {
         0.0
@@ -207,7 +213,7 @@ fn rate(amount: f64, seconds: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hps_core::{Direction, IoRequest, SimTime};
+    use hps_core::{IoRequest, SimTime};
 
     fn push(t: &mut Trace, ms: u64, dir: Direction, kib: u64, lba: u64) {
         let id = t.len() as u64;

@@ -22,10 +22,9 @@ fn traced_replay(name: &str, n: usize) -> (Vec<Event>, hps::obs::MetricsRegistry
     let mut device = EmmcDevice::new(DeviceConfig::table_v(SchemeKind::Hps)).unwrap();
     device.attach_telemetry(Telemetry::tracing());
     let metrics = device.replay(&mut trace).unwrap();
-    device.export_state_metrics();
-    let mut telemetry = device.take_telemetry().unwrap();
-    let events = telemetry.take_events();
-    (events, telemetry.registry, metrics.total_requests)
+    let registry = device.metrics_registry(&metrics);
+    let events = device.take_telemetry().unwrap().take_events();
+    (events, registry, metrics.total_requests)
 }
 
 #[test]
@@ -112,16 +111,15 @@ fn registry_only_mode_collects_metrics_without_events() {
     let mut trace = small_trace("Email", 300);
     let mut device = EmmcDevice::new(DeviceConfig::table_v(SchemeKind::Ps4)).unwrap();
     device.attach_telemetry(Telemetry::registry_only());
-    device.replay(&mut trace).unwrap();
-    device.export_state_metrics();
-    let mut telemetry = device.take_telemetry().unwrap();
+    let metrics = device.replay(&mut trace).unwrap();
+    let registry = device.metrics_registry(&metrics);
     assert!(
-        telemetry.take_events().is_empty(),
+        device.take_telemetry().unwrap().take_events().is_empty(),
         "no spans recorded when off"
     );
-    assert_eq!(telemetry.registry.counter_value("emmc.requests"), Some(300));
+    assert_eq!(registry.counter_value("emmc.requests"), Some(300));
 
-    let summary = render_summary(&telemetry.registry);
+    let summary = render_summary(&registry);
     assert!(summary.contains("emmc.requests"));
     assert!(summary.contains("emmc.response_ms"));
 }
