@@ -11,16 +11,8 @@
 
 use crate::report::{fnum, Table};
 use hps_core::{par, Result};
-use hps_emmc::{ChannelMode, DeviceConfig, EmmcDevice, PowerConfig, ReplayMetrics, SchemeKind};
+use hps_emmc::{DeviceConfig, EmmcDevice, PowerConfig, ReplayMetrics, SchemeKind};
 use hps_trace::Trace;
-
-/// The channel semantics of the *real* Nexus 5 device: its controller
-/// pipelines operations across dies (this is what lets it reach ~100 MB/s
-/// sequential reads in Fig. 3). The case-study simulator instead uses
-/// [`ChannelMode::Legacy`], matching SSDsim without advanced commands.
-pub fn real_device_channel_mode() -> ChannelMode {
-    ChannelMode::Interleaved
-}
 
 /// Results of one trace replayed on all three schemes.
 #[derive(Clone, Debug)]

@@ -11,7 +11,7 @@
 //! curves flatten once the request saturates the device's parallelism.
 
 use hps_core::{par, Bytes, Direction, IoRequest, SimTime};
-use hps_emmc::{DeviceConfig, EmmcDevice, PowerConfig, SchemeKind};
+use hps_emmc::{ChannelMode, DeviceConfig, EmmcDevice, PowerConfig, SchemeKind};
 
 /// One point of the Fig. 3 curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,7 +47,7 @@ pub fn measure_throughput(
     cfg.power = PowerConfig::DISABLED;
     // The measurement targets the real device, whose controller pipelines
     // operations across dies.
-    cfg.channel_mode = crate::casestudy::real_device_channel_mode();
+    cfg.channel_mode = ChannelMode::Interleaved;
     // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
     let mut dev = EmmcDevice::new(cfg).expect("Table V config is valid");
     let count = total_data.div_ceil(size).clamp(4, 512);

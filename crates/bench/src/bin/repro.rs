@@ -80,9 +80,8 @@ use hps_bench::implications::{
     endurance, implication3_read_cache, implication5_slc, stack_pipeline,
 };
 use hps_bench::reliability::exp_faults;
-use hps_core::Bytes;
 use hps_core::IoRequest;
-use hps_emmc::{ChannelMode, DeviceConfig, EmmcDevice, SchemeKind};
+use hps_emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps_obs::{render_summary, write_chrome_trace, JsonlStreamSink, Telemetry};
 use hps_trace::TraceSource;
 use hps_workloads::{by_name, generate, stream};
@@ -392,21 +391,20 @@ fn main() {
     );
 }
 
-/// Replays one paper workload on the Table V device with telemetry
-/// attached, writing the Chrome trace and/or metrics summary when asked.
+/// Replays one paper workload on the real-device Table V configuration
+/// with telemetry attached, writing the Chrome trace and/or metrics
+/// summary when asked.
 ///
 /// With `--stream` or `--scale > 1` the requests come from the streaming
 /// generator instead of a materialized trace; at scale 1 the two paths
-/// produce byte-identical metrics (the stream replays the generator's
-/// exact draws).
+/// produce byte-identical metrics (the materialized trace is the stream's
+/// single epoch).
 fn replay_workload(name: &str, opts: &Options) -> Result<String, Box<dyn std::error::Error>> {
     let profile =
         by_name(name).ok_or_else(|| format!("unknown workload '{name}' (see trace-tool list)"))?;
-    // Same device as `trace-tool replay`: Table V plus the write cache and
-    // interleaved channels, so the two tools report comparable numbers.
-    let mut cfg = DeviceConfig::table_v(opts.scheme).with_write_cache(Bytes::kib(512));
-    cfg.channel_mode = ChannelMode::Interleaved;
-    let mut device = EmmcDevice::new(cfg)?;
+    // Same device as `trace-tool replay`, so the two tools report
+    // comparable numbers.
+    let mut device = EmmcDevice::new(DeviceConfig::real_device(opts.scheme))?;
     let mut jsonl_stats = None;
     device.attach_telemetry(if let Some(path) = &opts.jsonl_out {
         // Stream events straight to disk: constant memory however long the

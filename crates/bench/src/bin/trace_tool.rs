@@ -17,8 +17,7 @@
 //! counter and histogram it collected.
 
 use hps_analysis::tables::{table_iii, table_iv};
-use hps_core::Bytes;
-use hps_emmc::{ChannelMode, DeviceConfig, EmmcDevice, SchemeKind};
+use hps_emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps_obs::{render_summary, write_chrome_trace, Telemetry};
 use hps_trace::io::{read_trace, write_trace};
 use hps_trace::Trace;
@@ -133,9 +132,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let scheme = parse_scheme(scheme_arg.as_deref())?;
     let mut trace = load(path)?;
-    let mut cfg = DeviceConfig::table_v(scheme).with_write_cache(Bytes::kib(512));
-    cfg.channel_mode = ChannelMode::Interleaved;
-    let mut dev = EmmcDevice::new(cfg)?;
+    let mut dev = EmmcDevice::new(DeviceConfig::real_device(scheme))?;
     if trace_out.is_some() || metrics_out.is_some() {
         dev.attach_telemetry(if trace_out.is_some() {
             Telemetry::tracing()
@@ -173,9 +170,7 @@ fn cmd_summary(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         .ok_or("summary needs a workload name or trace file")?;
     let scheme = parse_scheme(args.get(1).map(String::as_str))?;
     let mut trace = load_workload_or_file(target)?;
-    let mut cfg = DeviceConfig::table_v(scheme).with_write_cache(Bytes::kib(512));
-    cfg.channel_mode = ChannelMode::Interleaved;
-    let mut dev = EmmcDevice::new(cfg)?;
+    let mut dev = EmmcDevice::new(DeviceConfig::real_device(scheme))?;
     dev.attach_telemetry(Telemetry::registry_only());
     let metrics = dev.replay(&mut trace)?;
     print!("{}", render_summary(&dev.metrics_registry(&metrics)));

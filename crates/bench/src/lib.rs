@@ -3,8 +3,8 @@
 //! Each `exp_*` function regenerates one artifact of the paper's evaluation
 //! and returns it as rendered text; the `repro` binary dispatches on a
 //! subcommand and writes the output under `experiments/`. The same
-//! functions back the Criterion benches (on scaled-down inputs) and the
-//! workspace integration tests.
+//! functions back the workspace integration tests and the `paper_suite`
+//! workload of the `hpsbench` benchmark.
 
 pub mod ablations;
 pub mod experiments;

@@ -80,22 +80,18 @@ pub fn trace_by_name(name: &str) -> Trace {
     Trace::clone(&cached_trace(name, MASTER_SEED))
 }
 
-/// Replays a trace on a fresh Table V device of the given scheme with
-/// *real-device semantics* — RAM write buffer and power model enabled, as
+/// Replays a trace on a fresh [`DeviceConfig::real_device`] of the given
+/// scheme: RAM write buffer, interleaved channels and power model on, as
 /// on the Nexus 5 whose behaviour Tables IV and Figs. 5/7 characterize.
 /// (The Section V case study instead uses
-/// [`hps_analysis::casestudy::case_study_device`], which disables both,
-/// matching the paper's simulator setup.)
+/// [`hps_analysis::casestudy::case_study_device`], which disables the
+/// buffer and the power model, matching the paper's simulator setup.)
 ///
 /// # Errors
 ///
 /// Propagates device errors.
 pub fn replay_on(trace: &mut Trace, scheme: SchemeKind) -> Result<ReplayMetrics> {
-    let mut cfg = DeviceConfig::table_v(scheme).with_write_cache(hps_core::Bytes::kib(512));
-    // Real eMMC controllers pipeline operations across dies (that is how
-    // the Nexus 5 part reaches ~100 MB/s sequential reads in Fig. 3).
-    cfg.channel_mode = hps_emmc::ChannelMode::Interleaved;
-    let mut dev = EmmcDevice::new(cfg)?;
+    let mut dev = EmmcDevice::new(DeviceConfig::real_device(scheme))?;
     trace.reset_replay();
     dev.replay(trace)
 }
@@ -104,9 +100,8 @@ pub fn replay_on(trace: &mut Trace, scheme: SchemeKind) -> Result<ReplayMetrics>
 /// [`replay_on`] device, without ever materializing the trace: requests
 /// are produced one at a time, so resident memory stays independent of
 /// `scale`. At `scale = 1` the metrics are identical to
-/// `replay_on(&mut trace_by_name(name), scheme)` because the stream
-/// reproduces the materialized generator draw-for-draw under the same
-/// [`MASTER_SEED`].
+/// `replay_on(&mut trace_by_name(name), scheme)` because the materialized
+/// trace is the stream's single epoch under the same [`MASTER_SEED`].
 ///
 /// # Errors
 ///
@@ -116,9 +111,7 @@ pub fn stream_replay_on(
     scheme: SchemeKind,
     scale: u64,
 ) -> Result<ReplayMetrics> {
-    let mut cfg = DeviceConfig::table_v(scheme).with_write_cache(hps_core::Bytes::kib(512));
-    cfg.channel_mode = hps_emmc::ChannelMode::Interleaved;
-    let mut dev = EmmcDevice::new(cfg)?;
+    let mut dev = EmmcDevice::new(DeviceConfig::real_device(scheme))?;
     let mut source = stream(profile, MASTER_SEED, scale);
     dev.replay_stream(&mut source)
 }

@@ -91,6 +91,18 @@ impl DeviceConfig {
         }
     }
 
+    /// The Table V device with *real-device semantics*, as on the Nexus 5
+    /// whose behaviour Table IV and Figs. 5/7 characterize: a 512 KiB RAM
+    /// write buffer, channels interleaved across dies (how the part
+    /// reaches ~100 MB/s sequential reads in Fig. 3), and the power model
+    /// on. The Section V case study instead keeps [`table_v`](Self::table_v)'s
+    /// legacy channels, with the buffer and the power model off.
+    pub fn real_device(scheme: SchemeKind) -> Self {
+        let mut cfg = Self::table_v(scheme).with_write_cache(Bytes::kib(512));
+        cfg.channel_mode = ChannelMode::Interleaved;
+        cfg
+    }
+
     /// Enables an SLC-mode write region (Implication 5).
     pub fn with_slc(mut self, slc: SlcConfig) -> Self {
         self.slc = Some(slc);
@@ -103,8 +115,8 @@ impl DeviceConfig {
         self
     }
 
-    /// Enables the RAM write buffer (real-device semantics; used by the
-    /// Table IV characterization replays). The paper's case study keeps it
+    /// Enables the RAM write buffer (real-device semantics; see
+    /// [`real_device`](Self::real_device)). The paper's case study keeps it
     /// disabled.
     pub fn with_write_cache(mut self, capacity: Bytes) -> Self {
         self.write_cache = Some(capacity);

@@ -1,19 +1,16 @@
-//! Streaming trace generation: the materialized generator's RNG draws,
-//! produced one request at a time at any scale.
+//! Trace generation, one request at a time at any scale.
 //!
-//! [`TraceStream`] yields the exact request sequence
-//! [`crate::generate`] would materialize — same seed derivation, same
-//! per-request draw order (inter-arrival gap, direction, size, address) —
-//! without ever holding more than one request in memory. At `scale = 1`
-//! the stream is therefore byte-identical to the materialized trace; at
-//! `scale = N` it appends `N − 1` further *epochs*, each a fresh
-//! generation pass over the same profile with a decorrelated seed, shifted
-//! past the previous epoch's end. Trace length becomes a runtime knob
-//! instead of a memory ceiling.
+//! [`TraceStream`] is the workload generator: it draws each request
+//! (inter-arrival gap, direction, size, address) without ever holding
+//! more than one request in memory. [`crate::generate`] collects the
+//! stream at `scale = 1`, so the materialized trace equals the stream's
+//! first epoch by construction. At `scale = N` the stream appends
+//! `N − 1` further *epochs*, each a fresh generation pass over the same
+//! profile with a decorrelated seed, shifted past the previous epoch's
+//! end. Trace length becomes a runtime knob instead of a memory ceiling.
 
 use crate::address::AddressModel;
 use crate::arrival::ArrivalModel;
-use crate::generator::name_tag;
 use crate::profile::AppProfile;
 use crate::size::SizeModel;
 use hps_core::{Bytes, Direction, IoRequest, SimDuration, SimRng, SimTime};
@@ -21,8 +18,7 @@ use hps_trace::TraceSource;
 
 /// Streams `scale` back-to-back generation epochs of one profile.
 ///
-/// Epoch 0 reproduces [`crate::generate`]`(profile, seed)` draw-for-draw
-/// (including the mid-trace request pinned to Table III's *Max Size*).
+/// Epoch 0 is the trace [`crate::generate`]`(profile, seed)` collects.
 /// Every later epoch re-derives its RNG from the seed folded with the
 /// epoch index, re-calibrates the models, and offsets its arrivals so the
 /// stream's timestamps stay non-decreasing; request ids keep counting up
@@ -44,7 +40,9 @@ pub struct TraceStream {
     /// Arrival timestamp of the previously yielded request (absolute).
     now: SimTime,
     /// Index within an epoch of the request pinned to the profile's max
-    /// size.
+    /// size. Table III's *Max Size* is the largest request actually
+    /// observed in each trace; pinning one mid-trace request to it makes
+    /// the reconstruction reproduce the column exactly.
     max_at: u64,
     next_id: u64,
 }
@@ -54,11 +52,12 @@ pub struct TraceStream {
 /// # Panics
 ///
 /// Panics if `scale` is zero or the profile is internally inconsistent
-/// (same conditions as [`crate::generate`]).
+/// (fewer than two requests, impossible localities, or malformed size
+/// shapes).
 pub fn stream(profile: &AppProfile, seed: u64, scale: u64) -> TraceStream {
     assert!(scale > 0, "scale must be at least 1");
     let profile = profile.clone();
-    let mut s = TraceStream {
+    TraceStream {
         rng: SimRng::seed_from(epoch_seed(seed, profile.name, 0)),
         read_sizes: profile.read_size_model(),
         write_sizes: profile.write_size_model(),
@@ -72,16 +71,26 @@ pub fn stream(profile: &AppProfile, seed: u64, scale: u64) -> TraceStream {
         max_at: profile.num_reqs / 2,
         next_id: 0,
         profile,
-    };
-    s.max_at = s.profile.num_reqs / 2;
-    s
+    }
 }
 
-/// The RNG seed for one epoch: epoch 0 is exactly the materialized
-/// generator's `seed ^ name_tag(name)`; later epochs fold in the epoch
-/// index via a golden-ratio stride so their streams decorrelate.
+/// The RNG seed for one epoch: epoch 0 uses `seed ^ name_tag(name)`;
+/// later epochs fold in the epoch index via a golden-ratio stride so their
+/// streams decorrelate.
 fn epoch_seed(seed: u64, name: &str, epoch: u64) -> u64 {
     (seed ^ name_tag(name)).wrapping_add(epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Stable per-name tag folded into the seed so different applications get
+/// decorrelated streams even under the same master seed.
+fn name_tag(name: &str) -> u64 {
+    // FNV-1a, enough to decorrelate seeds.
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in name.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
 }
 
 impl TraceStream {
@@ -118,9 +127,8 @@ impl TraceSource for TraceStream {
         if self.epoch >= self.scale {
             return None;
         }
-        // Identical draw order to `generate`: gap (except the epoch's
-        // first request), direction, size (mid-epoch request pinned to the
-        // table's max), then address.
+        // Draw order: gap (except the epoch's first request), direction,
+        // size (mid-epoch request pinned to the table's max), then address.
         if self.idx > 0 {
             self.now += self.arrivals.sample(&mut self.rng);
         }

@@ -9,7 +9,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Vendored third-party shims: not ours to lint.
-const SKIP_CRATES: &[&str] = &["proptest", "criterion"];
+const SKIP_CRATES: &[&str] = &["proptest"];
 
 /// Crates whose `lib.rs` must enforce rustc-level doc coverage.
 const DOC_COVERED: &[&str] = &["core", "ftl", "nand"];

@@ -13,10 +13,9 @@ use hps::analysis::figures::{
     fig4_size_distributions, fig5_response_distributions, fig6_interarrival_distributions,
 };
 use hps::analysis::tables::{table_iii, table_iv};
-use hps::emmc::{ChannelMode, DeviceConfig, EmmcDevice, SchemeKind};
+use hps::emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps::trace::io::write_trace;
 use hps::workloads::{by_name, generate};
-use hps_core::Bytes;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -27,9 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Replay on a real-device-like 4PS eMMC (write cache + die
     // interleaving) so the timing columns are populated.
-    let mut cfg = DeviceConfig::table_v(SchemeKind::Ps4).with_write_cache(Bytes::kib(512));
-    cfg.channel_mode = ChannelMode::Interleaved;
-    let mut device = EmmcDevice::new(cfg)?;
+    let mut device = EmmcDevice::new(DeviceConfig::real_device(SchemeKind::Ps4))?;
     let metrics = device.replay(&mut trace)?;
 
     let traces = [trace];

@@ -8,15 +8,13 @@
 //! ```
 
 use hps::analysis::tables::{table_iii, table_iv};
-use hps::emmc::{ChannelMode, DeviceConfig, EmmcDevice, SchemeKind};
+use hps::emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps::workloads::combo::{all_combo_definitions, generate_combo, generate_merged};
 use hps::workloads::generate;
-use hps_core::Bytes;
 
 fn replay(trace: &mut hps::trace::Trace) -> hps::emmc::ReplayMetrics {
-    let mut cfg = DeviceConfig::table_v(SchemeKind::Ps4).with_write_cache(Bytes::kib(512));
-    cfg.channel_mode = ChannelMode::Interleaved;
-    let mut device = EmmcDevice::new(cfg).expect("Table V config");
+    let mut device =
+        EmmcDevice::new(DeviceConfig::real_device(SchemeKind::Ps4)).expect("Table V config");
     device.replay(trace).expect("fits the device")
 }
 
