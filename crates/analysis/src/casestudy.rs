@@ -74,7 +74,7 @@ pub fn run_case_study(trace: &Trace) -> Result<CaseStudyRow> {
     })
     .into_iter()
     .collect::<Result<_>>()?;
-    // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+    #[expect(clippy::expect_used, reason = "infallible by construction")]
     let metrics: [ReplayMetrics; 3] = metrics.try_into().expect("exactly three schemes replayed");
     Ok(CaseStudyRow {
         trace: trace.name().to_string(),

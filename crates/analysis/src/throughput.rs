@@ -48,7 +48,7 @@ pub fn measure_throughput(
     // The measurement targets the real device, whose controller pipelines
     // operations across dies.
     cfg.channel_mode = ChannelMode::Interleaved;
-    // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+    #[expect(clippy::expect_used, reason = "infallible by construction")]
     let mut dev = EmmcDevice::new(cfg).expect("Table V config is valid");
     let count = total_data.div_ceil(size).clamp(4, 512);
 
@@ -57,7 +57,7 @@ pub fn measure_throughput(
     if direction.is_read() {
         for i in 0..count {
             let req = IoRequest::new(i, SimTime::ZERO, Direction::Write, size, i * size.as_u64());
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+            #[expect(clippy::expect_used, reason = "infallible by construction")]
             dev.submit(&req).expect("populate");
         }
     }
@@ -66,12 +66,12 @@ pub fn measure_throughput(
     let mut last_finish = t0;
     for i in 0..count {
         let req = IoRequest::new(i, t0, direction, size, i * size.as_u64());
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let completion = dev.submit(&req).expect("measurement request");
         first_start.get_or_insert(completion.service_start);
         last_finish = completion.finish;
     }
-    // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+    #[expect(clippy::expect_used, reason = "infallible by construction")]
     let elapsed = last_finish - first_start.expect("at least one request");
     let bytes = size.as_u64() * count;
     bytes as f64 / 1e6 / elapsed.as_secs_f64()
@@ -104,8 +104,8 @@ pub fn throughput_sweep() -> Vec<ThroughputPoint> {
     let mut last_read = 0.0;
     let mut reads = reads.iter();
     for (&size, &write_mbs) in sizes.iter().zip(writes) {
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let read_mbs = if size <= Bytes::kib(256) {
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
             last_read = *reads.next().expect("one read point per small size");
             last_read
         } else {

@@ -72,10 +72,10 @@ pub fn ablate_gc() -> String {
         let mut cfg = DeviceConfig::scaled(SchemeKind::Ps4, 32, 32);
         cfg.ftl.gc_trigger = trigger;
         cfg.power = PowerConfig::DISABLED;
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let mut dev = EmmcDevice::new(cfg).expect("valid config");
         let mut replayed = trace.clone();
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let metrics = dev.replay(&mut replayed).expect("replay");
         vec![
             label.to_string(),
@@ -118,10 +118,10 @@ pub fn ablate_ratio() -> String {
             cfg.ftl.pools = vec![(Bytes::kib(4), blk4), (Bytes::kib(8), blk8)];
             cfg.ftl.pages_per_block = 16;
             cfg.power = PowerConfig::DISABLED;
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+            #[expect(clippy::expect_used, reason = "infallible by construction")]
             let mut dev = EmmcDevice::new(cfg).expect("valid config");
             let mut replayed = base.clone();
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+            #[expect(clippy::expect_used, reason = "infallible by construction")]
             let metrics = dev.replay(&mut replayed).expect("replay");
             vec![
                 blk4.to_string(),
@@ -165,10 +165,10 @@ pub fn ablate_power() -> String {
                 enabled: true,
             }
         };
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let mut dev = EmmcDevice::new(cfg).expect("valid config");
         let mut replayed = base.clone();
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let metrics = dev.replay(&mut replayed).expect("replay");
         let label = if threshold_ms == 0 {
             "off".to_string()
@@ -195,6 +195,7 @@ pub fn ablate_power() -> String {
 /// parallelism does not help *typical* smartphone workloads because the
 /// device is idle most of the time — Twitter barely moves. The saturated
 /// Booting burst is the exception that proves the rule.
+#[expect(clippy::expect_used, reason = "infallible by construction")]
 pub fn ablate_channels() -> String {
     let mut t = Table::new(&["Workload", "Channels", "MRT (ms)", "NoWait (%)"]);
     let jobs: Vec<(&str, usize, usize)> = [("Twitter", 4_000usize), ("Booting", 4_000)]
@@ -204,11 +205,8 @@ pub fn ablate_channels() -> String {
     for row in par::par_map(jobs, |(name, n, channels)| {
         let mut base = truncate_trace(&trace_by_name(name), n);
         let mut cfg = DeviceConfig::table_v(SchemeKind::Hps);
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
         cfg.ftl.geometry = hps_nand::Geometry::new(channels, 1, 2, 2).expect("valid geometry");
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
         let mut dev = EmmcDevice::new(cfg).expect("valid config");
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
         let metrics = dev.replay(&mut base).expect("replay");
         vec![
             name.to_string(),

@@ -71,6 +71,12 @@
 //! metrics-registry summary as text; `--jsonl-out` streams lifecycle
 //! events to a JSONL file as the replay runs (constant memory).
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "operator progress timing only; never enters simulation results"
+)]
+
 use hps_bench::ablations::{ablate_channels, ablate_gc, ablate_power, ablate_ratio};
 use hps_bench::experiments::{
     exp_characteristics, exp_fig3, exp_fig4, exp_fig5, exp_fig6, exp_fig7, exp_fig8, exp_fig9,
@@ -87,7 +93,6 @@ use hps_trace::TraceSource;
 use hps_workloads::{by_name, generate, stream};
 use std::io::Write as _;
 use std::path::Path;
-// lint: allow(wall-clock) -- operator progress timing only; never enters simulation results
 use std::time::Instant;
 
 const EXPERIMENTS: [&str; 21] = [
@@ -466,6 +471,13 @@ fn replay_workload(name: &str, opts: &Options) -> Result<String, Box<dyn std::er
     }
     if let (Some(path), Some(stats)) = (&opts.jsonl_out, jsonl_stats) {
         drop(device.take_telemetry()); // flush the streaming sink's BufWriter
+        if stats.errors() > 0 {
+            return Err(format!(
+                "cannot write events to {path}: {} write errors",
+                stats.errors()
+            )
+            .into());
+        }
         output.push_str(&format!(
             "streamed {} events to {path} ({} write errors)\n",
             stats.written(),

@@ -16,6 +16,13 @@
 //! a trace file) with the metrics registry attached and prints every
 //! counter and histogram it collected.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 use hps_analysis::tables::{table_iii, table_iv};
 use hps_emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps_obs::{render_summary, write_chrome_trace, Telemetry};

@@ -75,7 +75,7 @@ pub fn exp_table4() -> String {
 pub fn exp_table4_scaled(scale: u64) -> String {
     let profiles: Vec<_> = all_individual().into_iter().chain(all_combos()).collect();
     let rows = hps_core::par::par_map(profiles, |p| {
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let m = stream_replay_on(&p, SchemeKind::Ps4, scale).expect("Table V capacity wraps");
         vec![
             p.name.to_string(),
@@ -227,9 +227,9 @@ pub fn exp_table5() -> String {
 
 /// Runs the Section V case study over all 18 individual traces: each trace
 /// replayed on fresh 4PS, 8PS, and HPS devices.
+#[expect(clippy::expect_used, reason = "infallible by construction")]
 pub fn run_full_case_study() -> Vec<CaseStudyRow> {
     hps_core::par::par_map(individual_traces(), |t| {
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
         run_case_study(&t).expect("Table V capacity fits every trace")
     })
 }

@@ -32,9 +32,9 @@ pub fn implication3_read_cache() -> String {
         if cache_mib > 0 {
             cfg = cfg.with_read_cache(Bytes::mib(cache_mib));
         }
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let mut dev = EmmcDevice::new(cfg).expect("valid config");
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let metrics = dev.replay(&mut base).expect("replay");
         let hit = dev.read_cache().map_or(0.0, |c| 100.0 * c.hit_rate());
         let label = if cache_mib == 0 {
@@ -90,9 +90,9 @@ pub fn implication5_slc() -> String {
         if use_slc {
             cfg = cfg.with_slc(slc);
         }
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let mut dev = EmmcDevice::new(cfg).expect("valid config");
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let metrics = dev.replay(&mut base).expect("replay");
         let absorbed_pct = dev.slc().map_or(0.0, |s| {
             100.0 * s.absorbed() as f64 / metrics.writes.max(1) as f64
@@ -160,10 +160,10 @@ pub fn endurance() -> String {
     for row in par::par_map(SchemeKind::ALL.to_vec(), |scheme| {
         let mut cfg = DeviceConfig::scaled(scheme, 64, 32); // 64 MiB
         cfg.power = PowerConfig::DISABLED;
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let mut dev = EmmcDevice::new(cfg).expect("valid config");
         let mut replayed = trace.clone();
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let metrics = dev.replay(&mut replayed).expect("replay");
         // Lifetime ∝ budgets: total P/E budget over consumption rate.
         let mean_wear = metrics.wear.mean();
@@ -211,19 +211,19 @@ pub fn stack_pipeline() -> String {
         // Through the stack...
         let mut cfg = DeviceConfig::table_v(SchemeKind::Hps);
         cfg.power = PowerConfig::DISABLED;
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let mut dev = EmmcDevice::new(cfg.clone()).expect("valid config");
         let mut stack = IoStack::new(StackConfig::default());
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let stacked = stack.run(&base, &mut dev).expect("stack run");
         let stats = stack.stats();
         let stacked_stats = TimingStats::from_trace(&stacked);
 
         // ...and raw, for comparison.
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let mut dev = EmmcDevice::new(cfg).expect("valid config");
         let mut raw = base;
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let raw_metrics = dev.replay(&mut raw).expect("replay");
 
         vec![

@@ -33,11 +33,14 @@ static TRACE_CACHE: OnceLock<Mutex<TraceMemo>> = OnceLock::new();
 /// # Panics
 ///
 /// Panics if the name is unknown.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned lock means a worker panicked; propagate it"
+)]
 pub fn cached_trace(name: &str, seed: u64) -> Arc<Trace> {
     let cache = TRACE_CACHE.get_or_init(Mutex::default);
     if let Some(trace) = cache
         .lock()
-        // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
         .expect("trace cache poisoned")
         .get(&(name.to_string(), seed))
     {
@@ -48,7 +51,6 @@ pub fn cached_trace(name: &str, seed: u64) -> Arc<Trace> {
     Arc::clone(
         cache
             .lock()
-            // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
             .expect("trace cache poisoned")
             .entry((name.to_string(), seed))
             .or_insert(generated),
@@ -125,16 +127,16 @@ pub fn stream_replay_on(
 /// Panics if any replay fails (Table V capacity fits every paper trace).
 pub fn replay_each(traces: Vec<Trace>, scheme: SchemeKind) -> Vec<Trace> {
     par::par_map(traces, |mut trace| {
-        // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         replay_on(&mut trace, scheme).expect("Table V capacity fits every trace");
         trace
     })
 }
 
 /// A truncated version of a trace (first `n` records), for fast benches.
+#[expect(clippy::expect_used, reason = "infallible by construction")]
 pub fn truncate_trace(trace: &Trace, n: usize) -> Trace {
     let records: Vec<_> = trace.records().iter().take(n).copied().collect();
-    // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
     Trace::from_records(trace.name().to_string(), records).expect("prefix stays sorted")
 }
 

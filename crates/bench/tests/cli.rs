@@ -57,6 +57,24 @@ fn unwritable_trace_out_fails_with_context() {
     assert!(!err.contains("panicked"), "no panic on bad path:\n{err}");
 }
 
+/// `/dev/full` accepts the open and fails every write, so the events
+/// the stream buffered are lost at the final flush.
+#[test]
+#[cfg(target_os = "linux")]
+fn jsonl_out_write_errors_fail_the_run() {
+    let out = repro()
+        .args(["Email", "--jsonl-out", "/dev/full"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    assert!(
+        err.contains("cannot write events to /dev/full"),
+        "stderr must name the unwritable path:\n{err}"
+    );
+    assert!(!err.contains("panicked"), "no panic on a full disk:\n{err}");
+}
+
 #[test]
 fn diff_of_missing_files_is_a_usage_error() {
     let out = repro()
@@ -82,6 +100,10 @@ fn malformed_flag_values_are_usage_errors() {
 }
 
 #[test]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "best-effort removal of a scratch directory that may not exist"
+)]
 fn a_bad_target_anywhere_in_the_list_runs_nothing() {
     for (i, args) in [
         ["fig3", "Bogus"].as_slice(),

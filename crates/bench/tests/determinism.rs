@@ -3,6 +3,8 @@
 //! results. These tests pin that property on real paper traces with the
 //! `MASTER_SEED` every experiment uses.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hps_bench::runner::{replay_on, trace_by_name, truncate_trace};
 use hps_core::par::par_map_jobs;
 use hps_emmc::{ReplayMetrics, SchemeKind};

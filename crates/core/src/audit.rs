@@ -274,11 +274,6 @@ impl ShadowFlash {
         self.request = request;
     }
 
-    /// Clear the request context (clock is retained).
-    pub fn clear_context(&mut self) {
-        self.request = None;
-    }
-
     fn violation(
         &self,
         invariant: InvariantId,
@@ -704,11 +699,6 @@ impl SpanLedger {
             });
         }
         Ok(())
-    }
-
-    /// Number of spans currently open.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
     }
 }
 

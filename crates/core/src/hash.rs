@@ -12,7 +12,11 @@
 //! Not collision-resistant against adversarial keys; never use it on
 //! untrusted input.
 
-// lint: allow(default-hasher) -- this module defines the deterministic Fx aliases
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module defines the deterministic Fx aliases"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

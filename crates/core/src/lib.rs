@@ -30,8 +30,6 @@
 //! assert_eq!(req.page_span(Bytes::kib(4)), 4);
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod audit;
 pub mod error;
 pub mod hash;

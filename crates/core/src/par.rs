@@ -82,6 +82,10 @@ where
 /// # Panics
 ///
 /// Propagates the first panic raised by `f` on any worker.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned lock means a worker panicked, so propagate it; every dealt job runs exactly once"
+)]
 pub fn par_map_jobs<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -100,7 +104,6 @@ where
     for (i, item) in items.into_iter().enumerate() {
         queues[i % workers]
             .lock()
-            // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
             .expect("job queue poisoned")
             .push_back((i, item));
     }
@@ -130,16 +133,11 @@ where
                     // its guard drops before any other queue is locked:
                     // holding it while stealing lets two idle workers
                     // each wait on the other's lock.
-                    let own = queues[w]
-                        .lock()
-                        // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
-                        .expect("job queue poisoned")
-                        .pop_back();
+                    let own = queues[w].lock().expect("job queue poisoned").pop_back();
                     let job = own.or_else(|| {
                         (1..workers).find_map(|d| {
                             queues[(w + d) % workers]
                                 .lock()
-                                // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
                                 .expect("job queue poisoned")
                                 .pop_front()
                         })
@@ -147,13 +145,11 @@ where
                     match job {
                         Some((i, item)) => match catch_unwind(AssertUnwindSafe(|| f(item))) {
                             Ok(result) => {
-                                // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
                                 *results[i].lock().expect("result slot poisoned") = Some(result);
                             }
                             Err(payload) => {
                                 panic_payload
                                     .lock()
-                                    // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
                                     .expect("panic slot poisoned")
                                     .get_or_insert(payload);
                                 stop.store(true, Ordering::Relaxed);
@@ -167,7 +163,6 @@ where
         }
     });
 
-    // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
     if let Some(payload) = panic_payload.into_inner().expect("panic slot poisoned") {
         resume_unwind(payload);
     }
@@ -176,9 +171,7 @@ where
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                // lint: allow(no-unwrap) -- a poisoned lock means a worker panicked; propagate it
                 .expect("result slot poisoned")
-                // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
                 .expect("every dealt job runs exactly once")
         })
         .collect()

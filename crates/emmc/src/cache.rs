@@ -87,10 +87,10 @@ impl WriteCache {
         self.evict_drained(now);
         let mut ready = now;
         while self.used + size > self.capacity {
+            #[expect(clippy::expect_used, reason = "infallible by construction")]
             let (t, b) = self
                 .entries
                 .pop_front()
-                // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
                 .expect("used > 0 whenever the new write does not fit");
             ready = ready.max(t);
             self.used -= b;

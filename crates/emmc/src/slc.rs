@@ -101,10 +101,10 @@ impl SlcBuffer {
     /// caller must check [`SlcBuffer::absorbs`] first.
     pub fn admit(&mut self, now: SimTime, size: Bytes, drain_at: SimTime) -> SimTime {
         assert!(self.absorbs(size), "write too large for the SLC region");
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let ready = self
             .space
             .admit(now, size, drain_at)
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
             .expect("max_request <= capacity, so admission never bypasses");
         self.absorbed += 1;
         self.absorbed_bytes += size;

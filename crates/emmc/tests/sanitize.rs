@@ -8,6 +8,8 @@
 //! violations, and that the hooks never perturb results. The same
 //! GC-heavy replay also pins where each metrics-summary name comes from.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hps_core::{Bytes, Direction, IoRequest, SimRng, SimTime};
 use hps_emmc::{DeviceConfig, EmmcDevice, PowerConfig, SchemeKind};
 use hps_obs::{render_summary, Telemetry};
@@ -130,6 +132,10 @@ fn each_summary_name_has_one_source() {
 
 #[test]
 #[should_panic(expected = "emmc.event_time_regression")]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "the sanitizer panics inside the second submit; no result is inspected"
+)]
 fn out_of_order_arrival_is_rejected_by_the_sanitizer() {
     let mut dev = device(SchemeKind::Hps);
     let first = IoRequest::new(0, SimTime::from_ms(5), Direction::Write, Bytes::kib(4), 0);

@@ -21,7 +21,6 @@
 //!   geometry breakdown, endurance fast-forward), and the deterministic
 //!   plain-text report.
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod record;

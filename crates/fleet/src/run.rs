@@ -78,6 +78,10 @@ pub fn build_trace_cache(spec: &FleetSpec) -> TraceCache {
             keys.push((m, v));
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible by construction; a generated prefix stays arrival-sorted"
+    )]
     let traces = par_map_batched(4, keys.clone(), |(m, v)| {
         let profile = spec.mix.profile(m);
         let seed = derive_seed(
@@ -92,7 +96,6 @@ pub fn build_trace_cache(spec: &FleetSpec) -> TraceCache {
             .copied()
             .collect();
         let trace = Trace::from_records(full.name().to_string(), records);
-        // lint: allow(no-unwrap) -- infallible by construction; a generated prefix stays arrival-sorted
         Arc::new(trace.expect("prefix stays sorted"))
     });
     keys.into_iter().zip(traces).collect()
@@ -169,16 +172,6 @@ impl TraceSource for FoldedTrace<'_> {
     }
 }
 
-/// Test-only constructor for [`FoldedTrace`] (kept private otherwise).
-#[doc(hidden)]
-pub fn test_folded_trace<'a>(
-    trace: &'a Trace,
-    limit: u64,
-    span_pages: u64,
-) -> impl TraceSource + 'a {
-    FoldedTrace::new(trace, limit, span_pages)
-}
-
 /// Constructs, pre-ages, replays, and digests one device. The device is
 /// dropped on return; only the fixed-size digest and snapshot survive.
 ///
@@ -199,16 +192,22 @@ pub fn run_device(
         setup.geometry.blocks_4k_equiv,
         setup.geometry.pages_per_block,
     );
-    // lint: allow(no-unwrap) -- infallible by construction; spec geometry classes are valid scaled configs
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible by construction; spec geometry classes are valid scaled configs"
+    )]
     let mut device = EmmcDevice::new(cfg).expect("spec geometries are valid");
     if let Some(wear) = &setup.wear {
         device.inject_wear(wear);
     }
     let logical_pages = device.ftl().logical_capacity().as_u64() / PAGE_BYTES;
     let span_pages = ((logical_pages as f64 * setup.utilization) as u64).max(1);
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible by construction; the cache covers every (mix, variant) key"
+    )]
     let trace = cache
         .get(&(setup.mix_index, setup.variant))
-        // lint: allow(no-unwrap) -- infallible by construction; the cache covers every (mix, variant) key
         .expect("trace cache covers the spec's mix");
     let mut source = FoldedTrace::new(trace, spec.requests_per_device, span_pages);
     let metrics = device.replay_stream(&mut source).ok()?;

@@ -1188,10 +1188,11 @@ mod tests {
             unmapped.is_empty(),
             "failure corrupted mappings: {unmapped:?}"
         );
-        // Overwriting a live LPN must not panic, whatever it returns; the
-        // device may legitimately be read-only after the fill, so the
-        // outcome itself is intentionally unchecked.
-        // lint: allow(error-path)
+        // Overwriting a live LPN must not panic, whatever it returns.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the device may legitimately be read-only after the fill"
+        )]
         let _ = ftl.write_chunk(0, Bytes::kib(4), &[Lpn(live[0])], Bytes::kib(4));
     }
 

@@ -24,8 +24,6 @@
 //! [`FlashOp`]s it performed, and the event engine in `hps-emmc` turns those
 //! into simulated time.
 
-#![deny(missing_docs)]
-
 pub mod addr;
 pub mod ftl;
 pub mod gc;

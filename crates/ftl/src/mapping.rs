@@ -210,15 +210,15 @@ impl ResidentTable {
     /// Panics if `ppn` has no residents or `lpn` is not among them — either
     /// indicates the mapping and resident tables have diverged.
     pub fn evict(&mut self, ppn: Ppn, lpn: Lpn) -> bool {
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let list = self
             .residents
             .get_mut(&ppn)
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
             .expect("evict from unoccupied page");
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let pos = list
             .iter()
             .position(|&l| l == lpn)
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
             .expect("evicted LPN not resident in page");
         list.swap_remove(pos);
         if list.is_empty() {

@@ -152,11 +152,14 @@ impl Pool {
     ///
     /// Panics if `id` is not a member of this pool.
     pub fn retire_and_replace(&mut self, id: BlockId) -> Option<BlockId> {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: a non-member block is a caller bug"
+        )]
         let idx = self
             .members
             .iter()
             .position(|&m| m == id)
-            // lint: allow(no-unwrap) -- documented panic: a non-member block is a caller bug
             .expect("retired block must belong to this pool");
         self.members.swap_remove(idx);
         if let Some(free_idx) = self.free.iter().position(|&m| m == id) {

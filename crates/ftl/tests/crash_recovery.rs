@@ -5,6 +5,8 @@
 //! auditor's deep verification holds (checked inside `recover` in debug and
 //! `sanitize` builds).
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hps_core::hash::FxHashSet;
 use hps_core::{Bytes, Error};
 use hps_ftl::gc::GcTrigger;

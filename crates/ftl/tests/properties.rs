@@ -4,6 +4,8 @@
 //! [`MappingTable`], inline [`ResidentTable`]) behave exactly like their
 //! plain-`HashMap` reference models under arbitrary operation sequences.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hps_core::hash::{FxHashMap, FxHashSet};
 use hps_core::Bytes;
 use hps_ftl::gc::GcTrigger;

@@ -182,7 +182,7 @@ impl IoStack {
 /// issued when packing closes), the first member's address, the summed
 /// size, and the shared direction.
 fn command_to_request(command: &PackedCommand, id: u64) -> IoRequest {
-    // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+    #[expect(clippy::expect_used, reason = "infallible by construction")]
     let first = command.members.first().expect("commands are non-empty");
     let arrival = command
         .members

@@ -23,8 +23,6 @@
 //! The crate holds *state and legality*, not time: the discrete-event
 //! scheduling of channel and die occupancy lives in `hps-emmc`.
 
-#![deny(missing_docs)]
-
 pub mod block;
 pub mod faults;
 pub mod geometry;

@@ -10,6 +10,7 @@ use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion in a JSON string literal (no surrounding
 /// quotes).
+#[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -190,7 +191,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(_) => {
                 // Consume one UTF-8 scalar.
                 let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+                #[expect(clippy::expect_used, reason = "infallible by construction")]
                 let c = rest.chars().next().expect("non-empty by construction");
                 out.push(c);
                 *pos += c.len_utf8();

@@ -247,8 +247,12 @@ fn now() -> u64 {
 /// Fallback clock for non-x86-64 targets: OS monotonic nanoseconds.
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the profiler measures host time by design"
+)]
 fn now() -> u64 {
-    use std::time::Instant; // lint: allow(wall-clock) profiler measures host time by design
+    use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
@@ -256,12 +260,16 @@ fn now() -> u64 {
 /// Measured TSC ticks per nanosecond, calibrated once per process against
 /// the OS monotonic clock. 1.0 on targets whose [`now`] already returns
 /// nanoseconds.
+#[cfg_attr(
+    target_arch = "x86_64",
+    expect(clippy::disallowed_types, reason = "one-shot clock calibration")
+)]
 pub fn ticks_per_ns() -> f64 {
     static CAL: OnceLock<f64> = OnceLock::new();
     *CAL.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            use std::time::Instant; // lint: allow(wall-clock) one-shot clock calibration
+            use std::time::Instant;
             let wall = Instant::now();
             let t0 = now();
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -453,7 +461,11 @@ pub fn phase_run(p: Phase) -> RunPhaseTimer {
     }
     let inner = phase_armed(p);
     let armed = inner.armed;
-    core::mem::forget(inner); // the run timer owns the frame now
+    #[expect(
+        clippy::mem_forget,
+        reason = "the run timer takes over the frame the phase timer opened"
+    )]
+    core::mem::forget(inner);
     RunPhaseTimer {
         armed,
         ops: 0,
@@ -664,6 +676,7 @@ impl ProfileReport {
     /// Flamegraph-compatible folded-stack rendering: one line per slot,
     /// `stack<space>nanoseconds`, canonical stacks from
     /// [`Phase::folded_stack`]. Zero-time slots are omitted.
+    #[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
     pub fn render_folded(&self) -> String {
         let scale = ticks_per_ns();
         let mut out = String::new();
@@ -683,6 +696,7 @@ impl ProfileReport {
     /// Top-down breakdown table: per-slot self ns/request, share of the
     /// total, scope entries per sampled request, and per-entry p50/p99
     /// (total time, in ns) where a distribution exists.
+    #[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
     pub fn render_table(&self) -> String {
         let scale = ticks_per_ns();
         let shares = self.percentages();

@@ -36,11 +36,6 @@ impl VecSink {
     pub fn events(&self) -> &[Event] {
         &self.events
     }
-
-    /// Consumes the sink, yielding the buffered events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
 }
 
 impl Sink for VecSink {
@@ -164,15 +159,6 @@ impl Telemetry {
         return self.ledger.try_drained(now_ns);
         #[cfg(not(any(debug_assertions, feature = "sanitize")))]
         Ok(())
-    }
-
-    /// Number of lifecycle spans currently open (always 0 in un-sanitized
-    /// release builds).
-    pub fn open_spans(&self) -> usize {
-        #[cfg(any(debug_assertions, feature = "sanitize"))]
-        return self.ledger.open_count();
-        #[cfg(not(any(debug_assertions, feature = "sanitize")))]
-        0
     }
 }
 

@@ -63,6 +63,7 @@ impl MetricsSnapshot {
     /// distributions (bucket counts, count, min, max) are identical; the
     /// float `sum` is excluded because summation order makes it
     /// non-associative under merging.
+    #[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = String::new();
         for (name, metric) in self.registry.iter_sorted() {

@@ -40,7 +40,8 @@ impl StreamStats {
         self.inner.written.load(Ordering::Relaxed)
     }
 
-    /// Events dropped because a write failed.
+    /// Failed writes: events dropped by a failing write, plus one for a
+    /// failed final flush on drop (whose buffered events never arrived).
     pub fn errors(&self) -> u64 {
         self.inner.errors.load(Ordering::Relaxed)
     }
@@ -50,7 +51,7 @@ impl StreamStats {
 ///
 /// Write errors are counted (see [`StreamStats::errors`]) rather than
 /// panicking — telemetry must never take the simulation down. The buffer
-/// is flushed on drop.
+/// is flushed on drop, and a failed flush is counted too.
 pub struct JsonlStreamSink<W: Write> {
     w: BufWriter<W>,
     stats: StreamStats,
@@ -108,9 +109,11 @@ impl<W: Write> Sink for JsonlStreamSink<W> {
 
 impl<W: Write> Drop for JsonlStreamSink<W> {
     fn drop(&mut self) {
-        // Best effort: the sink usually dies inside a boxed Telemetry where
-        // no one can call `finish`.
-        let _ = self.w.flush();
+        // The sink usually dies inside a boxed Telemetry where no one can
+        // call `finish`, so the stats handle is the only way to report it.
+        if self.w.flush().is_err() {
+            self.stats.inner.errors.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -188,6 +191,25 @@ mod tests {
         assert_eq!(stats.written() + stats.errors(), 1000);
         assert!(stats.errors() > 0, "the failing writer must surface");
         drop(sink);
+    }
+
+    #[test]
+    fn a_failed_final_flush_is_counted() {
+        struct FailingFlush;
+        impl Write for FailingFlush {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("disk full"))
+            }
+        }
+        let sink = JsonlStreamSink::new(FailingFlush);
+        let stats = sink.stats();
+        let mut tel = Telemetry::with_sink(Box::new(sink));
+        tel.emit(gc_pass(10));
+        drop(tel);
+        assert!(stats.errors() >= 1, "the failed flush must surface");
     }
 
     #[test]

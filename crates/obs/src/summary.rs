@@ -6,6 +6,7 @@ use crate::registry::{Metric, MetricsRegistry};
 
 /// Renders the registry as an aligned text table: counters as bare
 /// values, histograms as `count / mean / p50 / p99 / max`.
+#[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
 pub fn render_summary(registry: &MetricsRegistry) -> String {
     let entries = registry.iter_sorted();
     let width = entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);

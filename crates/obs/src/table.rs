@@ -94,6 +94,7 @@ impl TextTable {
         out
     }
 
+    #[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
     fn render_line(&self, out: &mut String, cells: &[String], widths: &[usize]) {
         let mut line = String::new();
         for (i, (cell, width)) in cells.iter().zip(widths).enumerate() {

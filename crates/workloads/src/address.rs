@@ -181,15 +181,6 @@ impl AddressModel {
         self.footprint
     }
 
-    /// Measured spatial locality so far, in percent.
-    pub fn measured_spatial_pct(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            100.0 * self.seq_count as f64 / self.total as f64
-        }
-    }
-
     /// Measured temporal locality so far, in percent.
     pub fn measured_temporal_pct(&self) -> f64 {
         if self.total == 0 {

@@ -44,9 +44,9 @@ pub fn all_combo_definitions() -> Vec<ComboProfile> {
         .zip(members)
         .map(|(profile, (a, b))| ComboProfile {
             profile,
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+            #[expect(clippy::expect_used, reason = "infallible by construction")]
             member_a: profiles::by_name(a).expect("member exists"),
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
+            #[expect(clippy::expect_used, reason = "infallible by construction")]
             member_b: profiles::by_name(b).expect("member exists"),
         })
         .collect()
@@ -88,6 +88,7 @@ pub fn generate_merged(combo: &ComboProfile, seed: u64) -> Trace {
 /// re-assigning request ids to the merged order. Member address spaces are
 /// kept disjoint by offsetting the second trace's addresses past the
 /// first's footprint (two applications never share files).
+#[expect(clippy::expect_used, reason = "infallible by construction")]
 pub fn merge_traces(a: &Trace, b: &Trace, name: impl Into<String>) -> Trace {
     let offset = a
         .records()
@@ -106,11 +107,10 @@ pub fn merge_traces(a: &Trace, b: &Trace, name: impl Into<String>) -> Trace {
             (None, Some(_)) => false,
             (None, None) => break,
         };
+        #[expect(clippy::expect_used, reason = "infallible by construction")]
         let (rec, shift) = if take_a {
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
             (*ia.next().expect("peeked"), 0)
         } else {
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
             (*ib.next().expect("peeked"), offset)
         };
         let req = rec.request;
@@ -123,7 +123,6 @@ pub fn merge_traces(a: &Trace, b: &Trace, name: impl Into<String>) -> Trace {
             req.lba + shift,
         )));
     }
-    // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
     Trace::from_records(name, merged).expect("merge preserves arrival order")
 }
 

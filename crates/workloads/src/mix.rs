@@ -72,6 +72,10 @@ impl WorkloadMix {
     /// A representative smartphone mix: the heavy daily-driver apps the
     /// paper's combo analysis centers on, weighted toward the social and
     /// messaging workloads that dominate real usage.
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible by construction; every name is a paper workload"
+    )]
     pub fn default_fleet() -> WorkloadMix {
         WorkloadMix::from_weights(&[
             ("Facebook", 3.0),
@@ -85,7 +89,6 @@ impl WorkloadMix {
             ("CameraVideo", 1.0),
             ("AngryBirds", 1.0),
         ])
-        // lint: allow(no-unwrap) -- infallible by construction; every name is a paper workload
         .expect("default fleet mix uses only paper workload names")
     }
 
@@ -116,8 +119,11 @@ impl WorkloadMix {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible by construction; names were resolved in from_weights"
+    )]
     pub fn profile(&self, index: usize) -> AppProfile {
-        // lint: allow(no-unwrap) -- infallible by construction; names were resolved in from_weights
         by_name(self.names[index]).expect("mix names resolved at construction")
     }
 }

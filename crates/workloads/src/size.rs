@@ -157,12 +157,12 @@ impl SizeModel {
     }
 
     /// The largest size the model can draw.
+    #[expect(clippy::expect_used, reason = "infallible by construction")]
     pub fn max_size(&self) -> Bytes {
         self.entries
             .iter()
             .map(|&(s, _)| s)
             .max()
-            // lint: allow(no-unwrap) -- infallible by construction; the message documents the invariant
             .expect("non-empty")
     }
 

@@ -27,6 +27,10 @@ thread_local! {
 /// `try_with` instead of `with`: during thread teardown TLS is gone, and
 /// the allocator must stay callable (uncounted) rather than panic.
 fn note_alloc() {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "an allocation during thread teardown goes uncounted"
+    )]
     let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
 }
 

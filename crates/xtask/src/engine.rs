@@ -1,5 +1,5 @@
 //! Orchestration: walks the workspace, lints each file, applies waivers,
-//! and runs the `dead-waiver` and `missing-docs` passes.
+//! and runs the `dead-waiver` and `workspace-lints` passes.
 
 use crate::lexer;
 use crate::rules::{self, FileCtx, FileKind, Rule};
@@ -10,9 +10,6 @@ use std::path::{Path, PathBuf};
 
 /// Vendored third-party shims: not ours to lint.
 const SKIP_CRATES: &[&str] = &["proptest"];
-
-/// Crates whose `lib.rs` must enforce rustc-level doc coverage.
-const DOC_COVERED: &[&str] = &["core", "ftl", "nand"];
 
 /// The lint engine's own test corpus: seeded violations, never linted.
 const FIXTURE_DIR: &str = "crates/xtask/tests/fixtures";
@@ -37,8 +34,6 @@ pub struct Violation {
 pub struct WaiverStats {
     /// Waivers found.
     pub total: usize,
-    /// `allow-scope` waivers among them.
-    pub scoped: usize,
     /// Waivers that suppressed nothing (reported as `dead-waiver`).
     pub dead: usize,
     /// Violations suppressed by a waiver.
@@ -71,16 +66,17 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         report.files += 1;
         lint_source(&rel, kind, &src, &mut report);
     }
-    for krate in DOC_COVERED {
-        let lib = root.join("crates").join(krate).join("src/lib.rs");
-        let text = fs::read_to_string(&lib).unwrap_or_default();
-        if !text.contains("#![deny(missing_docs)]") {
+    for dir in package_dirs(root)? {
+        let manifest = dir.join("Cargo.toml");
+        // A virtual or missing root manifest has no package to opt in.
+        let text = fs::read_to_string(&manifest).unwrap_or_default();
+        if text.lines().any(|l| l.trim() == "[package]") && !inherits_workspace_lints(&text) {
             report.violations.push(Violation {
-                file: format!("crates/{krate}/src/lib.rs"),
+                file: relative(root, &manifest),
                 line: 1,
-                rule: Rule::MissingDocs,
-                scope: "(crate root)".to_string(),
-                excerpt: "(crate root)".to_string(),
+                rule: Rule::WorkspaceLints,
+                scope: "(manifest)".to_string(),
+                excerpt: "[package]".to_string(),
             });
         }
     }
@@ -114,19 +110,11 @@ pub fn lint_source(rel: &str, kind: FileKind, src: &str, report: &mut Report) {
 
     let mut used = vec![false; map.waivers.len()];
     for hit in &hits {
-        // Prefer a line waiver; fall back to an enclosing scope waiver.
-        let matching = |scoped: bool| {
-            map.waivers.iter().enumerate().position(|(_, w)| {
-                w.scoped == scoped
-                    && w.rules.iter().any(|r| r == hit.rule.id())
-                    && if scoped {
-                        map.is_within(hit.scope, w.scope)
-                    } else {
-                        hit.line == w.line || hit.line == w.next_code_line
-                    }
-            })
-        };
-        if let Some(wi) = matching(false).or_else(|| matching(true)) {
+        let matching = map.waivers.iter().position(|w| {
+            w.rules.iter().any(|r| r == hit.rule.id())
+                && (hit.line == w.line || hit.line == w.next_code_line)
+        });
+        if let Some(wi) = matching {
             used[wi] = true;
             report.waivers.suppressed += 1;
             continue;
@@ -144,9 +132,6 @@ pub fn lint_source(rel: &str, kind: FileKind, src: &str, report: &mut Report) {
     // Deliberately not waivable — a dead waiver is fixed by deletion.
     for (wi, w) in map.waivers.iter().enumerate() {
         report.waivers.total += 1;
-        if w.scoped {
-            report.waivers.scoped += 1;
-        }
         let unknown = w.rules.iter().any(|r| Rule::from_id(r).is_none());
         if !used[wi] || unknown {
             report.waivers.dead += 1;
@@ -161,44 +146,60 @@ pub fn lint_source(rel: &str, kind: FileKind, src: &str, report: &mut Report) {
     }
 }
 
-/// All lintable files: `(absolute path, workspace-relative path, kind)`,
-/// sorted for stable output.
-fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, String, FileKind)>> {
-    let mut out = Vec::new();
+/// The workspace root plus every crate directory under `crates/`, minus
+/// the vendored [`SKIP_CRATES`], sorted.
+fn package_dirs(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
         .flatten()
         .map(|e| e.path())
         .filter(|p| p.join("Cargo.toml").is_file())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            !SKIP_CRATES.contains(&name)
+        })
         .collect();
     crate_dirs.sort();
-    let mut roots: Vec<PathBuf> = vec![root.to_path_buf()];
-    roots.extend(crate_dirs.iter().cloned());
-    for base in roots {
-        let name = base.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if SKIP_CRATES.contains(&name) {
-            continue;
+    crate_dirs.insert(0, root.to_path_buf());
+    Ok(crate_dirs)
+}
+
+/// `true` when the manifest has a `[lints]` table with `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
         }
-        for (sub, default_kind) in [
+    }
+    false
+}
+
+/// `path` relative to `root`, `/`-separated.
+fn relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// All lintable files: `(absolute path, workspace-relative path, kind)`,
+/// sorted for stable output.
+fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, String, FileKind)>> {
+    let mut out = Vec::new();
+    for base in package_dirs(root)? {
+        for (sub, kind) in [
             ("src", FileKind::Lib),
             ("tests", FileKind::Test),
             ("examples", FileKind::Example),
             ("benches", FileKind::Bench),
         ] {
-            let dir = base.join(sub);
-            for file in rust_files(&dir) {
-                let rel = file
-                    .strip_prefix(root)
-                    .unwrap_or(&file)
-                    .to_string_lossy()
-                    .replace('\\', "/");
+            for file in rust_files(&base.join(sub)) {
+                let rel = relative(root, &file);
                 if rel.starts_with(FIXTURE_DIR) {
                     continue;
                 }
-                let kind = if default_kind == FileKind::Lib && is_binary_target(&dir, &file) {
-                    FileKind::Binary
-                } else {
-                    default_kind
-                };
                 out.push((file, rel, kind));
             }
         }
@@ -225,14 +226,4 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
         }
     }
     out
-}
-
-/// `true` for binary targets: `src/main.rs` and anything under `src/bin/`.
-fn is_binary_target(src: &Path, file: &Path) -> bool {
-    if file == src.join("main.rs") {
-        return true;
-    }
-    file.strip_prefix(src)
-        .map(|rel| rel.starts_with("bin"))
-        .unwrap_or(false)
 }

@@ -2,6 +2,8 @@
 //! `xtask` library crate (`lexer`/`scope`/`rules`/`engine`/`report`) so
 //! the test suite can drive it on fixture sources.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

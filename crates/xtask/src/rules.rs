@@ -1,22 +1,25 @@
 //! The lint rules, evaluated over the token stream and scope tree.
 //!
-//! Eight rules are ports of the old line-regex pass (with `phase-timer`
-//! subsumed by the scope-aware `guard-balance`); four are new and only
-//! expressible on tokens + scopes:
+//! These are the rules rustc and clippy cannot express; everything they
+//! can (hashers, panics, prints, wall clocks, docs, discarded results,
+//! guard lifetimes) is `[workspace.lints]` in the root manifest plus
+//! `clippy.toml` (DESIGN.md §12).
 //!
 //! * `nondet-iter` — iteration over hash-ordered collections whose order
 //!   can leak into output, unless the same statement canonicalizes
 //!   (sorts, collects into a `BTreeMap`/`BTreeSet`, or reduces
-//!   order-insensitively).
+//!   order-insensitively). clippy's `iter_over_hash_type` sees only the
+//!   `for`-loop form.
 //! * `float-accum` — order-dependent floating-point reductions outside
 //!   the modules that already canonicalize accumulation order.
 //! * `clock-domain` — literal-argument `SimTime`/`SimDuration`
 //!   constructors outside the timing-table modules and `const`/`static`
 //!   initializers: magic durations belong in named constants.
-//! * `guard-balance` — profiler span guards must live exactly as long as
-//!   the scope they account: no zero-width guards, no leaked guards.
+//! * `hot-path-alloc` — `Vec::new()`/`vec![]` in the replay hot-path
+//!   modules.
 //!
-//! `dead-waiver` is evaluated by the engine after all other rules ran.
+//! `dead-waiver` is evaluated by the engine after all other rules ran, and
+//! `workspace-lints` by the engine over the crate manifests.
 
 use crate::lexer::{Token, TokenKind};
 use crate::scope::{FileMap, ScopeKind};
@@ -25,22 +28,8 @@ use std::collections::BTreeSet;
 /// Stable rule identifiers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// std HashMap/HashSet with the randomly seeded default hasher.
-    DefaultHasher,
-    /// `.unwrap()` / `.expect(...)` in library code.
-    NoUnwrap,
-    /// `println!` / `eprintln!` in library code.
-    NoPrint,
-    /// `std::time::{SystemTime, Instant}` in simulation code.
-    WallClock,
-    /// Crate roots that must carry `#![deny(missing_docs)]`.
-    MissingDocs,
     /// Heap allocation in the replay hot-path modules.
     HotPathAlloc,
-    /// Discarded `Result` of a fault-handling/recovery API.
-    ErrorPath,
-    /// Zero-width or leaked profiler span guards.
-    GuardBalance,
     /// Hash-order iteration that can reach output.
     NondetIter,
     /// Order-dependent float accumulation.
@@ -49,40 +38,30 @@ pub enum Rule {
     ClockDomain,
     /// A waiver that suppresses nothing.
     DeadWaiver,
+    /// A crate manifest that does not inherit `[workspace.lints]`.
+    WorkspaceLints,
 }
 
 /// All rules, in report order.
 pub const ALL_RULES: &[Rule] = &[
-    Rule::DefaultHasher,
-    Rule::NoUnwrap,
-    Rule::NoPrint,
-    Rule::WallClock,
-    Rule::MissingDocs,
     Rule::HotPathAlloc,
-    Rule::ErrorPath,
-    Rule::GuardBalance,
     Rule::NondetIter,
     Rule::FloatAccum,
     Rule::ClockDomain,
     Rule::DeadWaiver,
+    Rule::WorkspaceLints,
 ];
 
 impl Rule {
     /// The stable id used in reports and `lint: allow(...)` waivers.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::DefaultHasher => "default-hasher",
-            Rule::NoUnwrap => "no-unwrap",
-            Rule::NoPrint => "no-print",
-            Rule::WallClock => "wall-clock",
-            Rule::MissingDocs => "missing-docs",
             Rule::HotPathAlloc => "hot-path-alloc",
-            Rule::ErrorPath => "error-path",
-            Rule::GuardBalance => "guard-balance",
             Rule::NondetIter => "nondet-iter",
             Rule::FloatAccum => "float-accum",
             Rule::ClockDomain => "clock-domain",
             Rule::DeadWaiver => "dead-waiver",
+            Rule::WorkspaceLints => "workspace-lints",
         }
     }
 
@@ -94,32 +73,9 @@ impl Rule {
     /// One-line explanation shown with each violation.
     pub fn message(self) -> &'static str {
         match self {
-            Rule::DefaultHasher => {
-                "std HashMap/HashSet default hasher is nondeterministic; \
-                 use hps_core::hash::{FxHashMap, FxHashSet} or BTreeMap"
-            }
-            Rule::NoUnwrap => "unwrap()/expect() in library code; route through hps_core::Error",
-            Rule::NoPrint => {
-                "println!/eprintln! in library code; report through telemetry or return values"
-            }
-            Rule::WallClock => {
-                "std::time::{SystemTime, Instant} in a simulation crate; use SimTime"
-            }
-            Rule::MissingDocs => "lib.rs must carry #![deny(missing_docs)]",
             Rule::HotPathAlloc => {
                 "Vec::new()/vec![] in a replay hot-path module; reuse \
                  ReplayScratch/GcScratch buffers or the *_into APIs"
-            }
-            Rule::ErrorPath => {
-                "discarded Result from a fault-handling/recovery API \
-                 (recover/arm_crash/write_chunk/retire_and_replace); a \
-                 swallowed PowerLoss or ReadOnly is silent data loss"
-            }
-            Rule::GuardBalance => {
-                "profiler span guard does not span its scope: a bare or \
-                 `let _ =` guard drops immediately and measures nothing, a \
-                 forgotten guard never closes its phase; bind it \
-                 (`let _prof = ...`) for the region it accounts"
             }
             Rule::NondetIter => {
                 "iteration over a hash-ordered collection; the visit order \
@@ -143,6 +99,10 @@ impl Rule {
                 "this `lint: allow` suppresses nothing — the violation it \
                  covered is gone; delete the waiver"
             }
+            Rule::WorkspaceLints => {
+                "crate manifest lacks `[lints] workspace = true`, so the \
+                 rules rustc and clippy enforce (DESIGN.md §12) skip it"
+            }
         }
     }
 }
@@ -150,23 +110,14 @@ impl Rule {
 /// How a file participates in the build, which decides rule applicability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library code under `src/`.
+    /// Code under `src/`, binaries included.
     Lib,
-    /// `src/main.rs` or `src/bin/*`.
-    Binary,
     /// Integration tests under `tests/`.
     Test,
     /// `examples/*`.
     Example,
     /// `benches/*`.
     Bench,
-}
-
-impl FileKind {
-    /// Binary-style targets where stdout and panics are the interface.
-    fn binary_like(self) -> bool {
-        !matches!(self, FileKind::Lib)
-    }
 }
 
 /// Replay hot-path modules where steady-state heap allocation is banned.
@@ -184,9 +135,6 @@ const CLOCK_OWNERS: &[&str] = &["crates/nand/src/timing.rs", "crates/core/src/ti
 /// Modules whose job *is* float accumulation and that already canonicalize
 /// the order (fixed bucket arrays, sorted merges).
 const FLOAT_EXEMPT: &[&str] = &["crates/core/src/stats.rs", "crates/obs/src/registry.rs"];
-
-/// Fault-handling / recovery APIs whose `Result` must never be discarded.
-const ERROR_PATH_APIS: &[&str] = &["recover", "arm_crash", "retire_and_replace"];
 
 /// Hash-ordered collection type names (std and the vendored Fx shims).
 const HASH_TYPES: &[&str] = &["FxHashMap", "FxHashSet", "HashMap", "HashSet"];
@@ -299,10 +247,7 @@ impl<'a> FileCtx<'a> {
 /// Runs every token rule over one file.
 pub fn check(ctx: &FileCtx<'_>) -> Vec<Hit> {
     let mut hits = BTreeSet::new();
-    path_rules(ctx, &mut hits);
-    call_rules(ctx, &mut hits);
-    error_path(ctx, &mut hits);
-    guard_balance(ctx, &mut hits);
+    hot_path_alloc(ctx, &mut hits);
     nondet_iter(ctx, &mut hits);
     float_accum(ctx, &mut hits);
     clock_domain(ctx, &mut hits);
@@ -317,177 +262,23 @@ fn push(hits: &mut BTreeSet<Hit>, ctx: &FileCtx<'_>, i: usize, rule: Rule) {
     });
 }
 
-/// `default-hasher` and `wall-clock`: path-based rules. Matches the
-/// `collections::`/`time::` segment and scans the use-tree extent after
-/// it, so grouped imports (`use std::{collections::HashMap, ...}`) are
-/// caught too.
-fn path_rules(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
+/// `hot-path-alloc`: `Vec::new()` / `vec![]` outside test code in the
+/// hot-path files.
+fn hot_path_alloc(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
+    if !HOT_PATH_FILES.contains(&ctx.rel) {
+        return;
+    }
     for i in 0..ctx.code.len() {
-        if ctx.txt(i + 1) != "::" || ctx.kind_at(i) != Some(TokenKind::Ident) {
+        if ctx.in_test(i) {
             continue;
         }
-        let (targets, rule): (&[&str], Rule) = match ctx.txt(i) {
-            "collections" => (&["HashMap", "HashSet"], Rule::DefaultHasher),
-            "time" => (&["SystemTime", "Instant"], Rule::WallClock),
-            _ => continue,
-        };
-        // default-hasher stays enforced in test code (flaky iteration
-        // order makes flaky tests); so does wall-clock.
-        for j in path_extent_targets(ctx, i + 2, targets) {
-            push(hits, ctx, j, rule);
+        if ctx.is_ident(i, "Vec") && ctx.txt(i + 1) == "::" && ctx.txt(i + 2) == "new" {
+            push(hits, ctx, i, Rule::HotPathAlloc);
+        }
+        if ctx.is_ident(i, "vec") && ctx.txt(i + 1) == "!" {
+            push(hits, ctx, i, Rule::HotPathAlloc);
         }
     }
-}
-
-/// Indices of target idents reachable in the path/use-tree starting at
-/// `start` (the token after `module::`).
-fn path_extent_targets(ctx: &FileCtx<'_>, start: usize, targets: &[&str]) -> Vec<usize> {
-    let mut found = Vec::new();
-    let mut depth = 0usize;
-    let mut j = start;
-    while j < ctx.code.len() {
-        match (ctx.kind_at(j), ctx.txt(j)) {
-            (Some(TokenKind::Ident), text) => {
-                if targets.contains(&text) {
-                    found.push(j);
-                }
-            }
-            (_, "::") | (_, ",") | (_, "*") => {}
-            (_, "{") => depth += 1,
-            (_, "}") => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            _ => break,
-        }
-        j += 1;
-    }
-    found
-}
-
-/// `no-unwrap`, `no-print`, `hot-path-alloc`: simple call-shaped rules.
-fn call_rules(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
-    let hot_path = HOT_PATH_FILES.contains(&ctx.rel);
-    for i in 0..ctx.code.len() {
-        if !ctx.kind.binary_like() && !ctx.in_test(i) {
-            // `.unwrap()` / `.expect(...)` — but not `.expect_err(...)`.
-            if ctx.txt(i) == "."
-                && matches!(ctx.txt(i + 1), "unwrap" | "expect")
-                && ctx.txt(i + 2) == "("
-            {
-                push(hits, ctx, i + 1, Rule::NoUnwrap);
-            }
-            if matches!(ctx.txt(i), "println" | "eprintln")
-                && ctx.kind_at(i) == Some(TokenKind::Ident)
-                && ctx.txt(i + 1) == "!"
-            {
-                push(hits, ctx, i, Rule::NoPrint);
-            }
-        }
-        if hot_path && !ctx.in_test(i) {
-            if ctx.is_ident(i, "Vec") && ctx.txt(i + 1) == "::" && ctx.txt(i + 2) == "new" {
-                push(hits, ctx, i, Rule::HotPathAlloc);
-            }
-            if ctx.is_ident(i, "vec") && ctx.txt(i + 1) == "!" {
-                push(hits, ctx, i, Rule::HotPathAlloc);
-            }
-        }
-    }
-}
-
-/// `error-path`: `let _ = <expr calling a fault API>;` discards a Result
-/// that encodes injected-fault outcomes. Multi-line statements are
-/// handled, which the line regex could not.
-fn error_path(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
-    for i in 0..ctx.code.len() {
-        if !(ctx.is_ident(i, "let") && ctx.txt(i + 1) == "_" && ctx.txt(i + 2) == "=") {
-            continue;
-        }
-        let mut j = i + 3;
-        while j < ctx.code.len() && ctx.txt(j) != ";" {
-            if ctx.txt(j) == "."
-                && ctx.txt(j + 2) == "("
-                && (ERROR_PATH_APIS.contains(&ctx.txt(j + 1))
-                    || ctx.txt(j + 1).starts_with("write_chunk"))
-            {
-                push(hits, ctx, i, Rule::ErrorPath);
-                break;
-            }
-            j += 1;
-        }
-    }
-}
-
-/// `guard-balance`: profiler guards (`profile::phase(..)`,
-/// `profile::request()`) must be bound for the scope they account.
-/// Flags zero-width guards (`let _ =`, bare statement) and guards leaked
-/// through `mem::forget`.
-fn guard_balance(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
-    for i in 0..ctx.code.len() {
-        if !(ctx.is_ident(i, "profile") && ctx.txt(i + 1) == "::") {
-            continue;
-        }
-        let is_phase = ctx.txt(i + 2) == "phase" && ctx.txt(i + 3) == "(";
-        let is_request =
-            ctx.txt(i + 2) == "request" && ctx.txt(i + 3) == "(" && ctx.txt(i + 4) == ")";
-        if !is_phase && !is_request {
-            continue;
-        }
-        // Walk back over a path prefix (hps_obs::profile, crate::profile).
-        let mut s = i;
-        while s >= 2 && ctx.txt(s - 1) == "::" && ctx.kind_at(s - 2) == Some(TokenKind::Ident) {
-            s -= 2;
-        }
-        let prev = if s == 0 { "" } else { ctx.txt(s - 1) };
-        if prev == "=" && s >= 3 && ctx.txt(s - 2) == "_" && ctx.is_ident(s - 3, "let") {
-            // `let _ = profile::phase(..)` — dropped before the region runs.
-            push(hits, ctx, i, Rule::GuardBalance);
-            continue;
-        }
-        if prev == "="
-            && s >= 3
-            && ctx.kind_at(s - 2) == Some(TokenKind::Ident)
-            && ctx.is_ident(s - 3, "let")
-        {
-            // Bound guard: check it is not leaked with mem::forget(name).
-            let name = ctx.txt(s - 2);
-            for j in i..ctx.code.len() {
-                if ctx.is_ident(j, "forget") && ctx.txt(j + 1) == "(" && ctx.txt(j + 2) == name {
-                    push(hits, ctx, j, Rule::GuardBalance);
-                    break;
-                }
-            }
-            continue;
-        }
-        // Statement position: `profile::phase(..);` — zero-width scope.
-        if prev.is_empty() || matches!(prev, ";" | "{" | "}") {
-            if let Some(close) = matching_paren(ctx, i + 3) {
-                if ctx.txt(close + 1) == ";" {
-                    push(hits, ctx, i, Rule::GuardBalance);
-                }
-            }
-        }
-    }
-}
-
-/// Index of the `)` matching the `(` at `open`.
-fn matching_paren(ctx: &FileCtx<'_>, open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for j in open..ctx.code.len() {
-        match ctx.txt(j) {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Collects names declared with a hash-ordered collection type in this

@@ -10,12 +10,8 @@
 //! table?*, *which function does this violation belong to?*
 //!
 //! The same pass collects lint waivers from plain `//` comments:
-//!
-//! * `// lint: allow(rule)` — waives `rule` on the comment's own line and
-//!   on the next code line (the two placements the codebase already uses).
-//! * `// lint: allow-scope(rule)` — waives `rule` for the entire innermost
-//!   scope containing the comment; at the top of a file that is the whole
-//!   module.
+//! `// lint: allow(rule)` waives `rule` on the comment's own line and on
+//! the next code line (the two placements the codebase already uses).
 //!
 //! Waivers are only recognized in plain line comments — doc comments and
 //! string literals merely *mentioning* `lint: allow` no longer count,
@@ -77,8 +73,6 @@ pub struct Waiver {
     pub next_code_line: u32,
     /// Innermost scope containing the comment.
     pub scope: usize,
-    /// `true` for `allow-scope` waivers, which cover the whole scope.
-    pub scoped: bool,
 }
 
 /// The parsed structure of one file.
@@ -93,19 +87,6 @@ pub struct FileMap {
 }
 
 impl FileMap {
-    /// `true` when `scope` is `ancestor` or a descendant of it.
-    pub fn is_within(&self, mut scope: usize, ancestor: usize) -> bool {
-        loop {
-            if scope == ancestor {
-                return true;
-            }
-            match self.scopes[scope].parent {
-                Some(p) => scope = p,
-                None => return false,
-            }
-        }
-    }
-
     /// `true` when `scope` or any ancestor has the given kind.
     pub fn within_kind(&self, mut scope: usize, kind: ScopeKind) -> bool {
         loop {
@@ -314,8 +295,7 @@ fn attribute_extent(tokens: &[Token<'_>], i: usize) -> Option<(usize, bool)> {
     None
 }
 
-/// Parses `lint: allow(...)` / `lint: allow-scope(...)` occurrences out of
-/// one plain line comment.
+/// Parses `lint: allow(...)` occurrences out of one plain line comment.
 fn collect_waivers(
     comment: &Token<'_>,
     _tokens: &[Token<'_>],
@@ -327,15 +307,9 @@ fn collect_waivers(
     let mut search = 0usize;
     while let Some(found) = text[search..].find("lint: allow") {
         let at = search + found + "lint: allow".len();
-        let (scoped, rest) = match text[at..].strip_prefix("-scope(") {
-            Some(rest) => (true, rest),
-            None => match text[at..].strip_prefix('(') {
-                Some(rest) => (false, rest),
-                None => {
-                    search = at;
-                    continue;
-                }
-            },
+        let Some(rest) = text[at..].strip_prefix('(') else {
+            search = at;
+            continue;
         };
         let Some(close) = rest.find(')') else {
             search = at;
@@ -352,7 +326,6 @@ fn collect_waivers(
                 line: comment.line,
                 next_code_line: comment.line, // fixed up afterwards
                 scope,
-                scoped,
             });
         }
         search = at + close;
@@ -488,40 +461,24 @@ fn after() { let c = 3; }
     #[test]
     fn line_waivers_parse_with_targets() {
         let src = "\
-// lint: allow(no-unwrap) -- reason
-let v = x.unwrap();
-let w = y.unwrap(); // lint: allow(no-unwrap, no-print)
+// lint: allow(hot-path-alloc) -- reason
+let v = Vec::new();
+let w = vec![x.iter().sum::<f64>()]; // lint: allow(hot-path-alloc, float-accum)
 ";
         let (_toks, map) = parse_src(src);
         assert_eq!(map.waivers.len(), 2);
         assert_eq!(map.waivers[0].line, 1);
         assert_eq!(map.waivers[0].next_code_line, 2);
-        assert!(!map.waivers[0].scoped);
-        assert_eq!(map.waivers[1].rules, vec!["no-unwrap", "no-print"]);
+        assert_eq!(map.waivers[1].rules, vec!["hot-path-alloc", "float-accum"]);
         assert_eq!(map.waivers[1].line, 3);
-    }
-
-    #[test]
-    fn scope_waivers_attach_to_innermost_scope() {
-        let src = "\
-fn noisy() {
-    // lint: allow-scope(no-print)
-    let a = 1;
-}
-";
-        let (toks, map) = parse_src(src);
-        assert_eq!(map.waivers.len(), 1);
-        assert!(map.waivers[0].scoped);
-        let a_idx = toks.iter().position(|t| t.text == "a").expect("a");
-        assert_eq!(map.waivers[0].scope, map.token_scope[a_idx]);
     }
 
     #[test]
     fn doc_comments_and_strings_are_not_waivers() {
         let src = "\
-/// waive with `// lint: allow(no-unwrap)` like so
-fn f() { let s = \"// lint: allow(no-print)\"; }
-//! lint: allow(wall-clock)
+/// waive with `// lint: allow(hot-path-alloc)` like so
+fn f() { let s = \"// lint: allow(float-accum)\"; }
+//! lint: allow(clock-domain)
 ";
         let (_toks, map) = parse_src(src);
         assert!(map.waivers.is_empty());

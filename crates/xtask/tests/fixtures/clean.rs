@@ -1,14 +1,14 @@
 //! A clean fixture: nothing here may trip any rule despite the noise.
-//! Doc-comment mentions of `lint: allow(no-print)` are not waivers, and
-//! neither are string literals containing one.
+//! Doc-comment mentions of `lint: allow(float-accum)` are not waivers,
+//! and neither are string literals containing one.
 
-/// Raw strings may contain println! and std::collections::HashMap safely,
-/// and nested block comments must not desynchronize the lexer.
+/// Raw strings may contain timing literals and float sums safely, and
+/// nested block comments must not desynchronize the lexer.
 pub fn tricky() -> &'static str {
-    /* nested /* block comment */ with x.unwrap() and Instant::now() */
+    /* nested /* block comment */ with xs.iter().sum::<f64>() and SimTime::from_ms(3) */
     let _c = 'a';
-    let _not_a_waiver = "lint: allow(wall-clock)";
-    r#"println!("not real"); std::collections::HashMap; SimDuration::from_ms(9)"#
+    let _not_a_waiver = "lint: allow(clock-domain)";
+    r#"xs.iter().fold(0.0, |a, b| a + b); SimDuration::from_ms(9)"#
 }
 
 /// Sorted hash iteration is allowed when waived with the sort proof.

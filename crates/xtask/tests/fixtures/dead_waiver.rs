@@ -1,7 +1,7 @@
 //! Seeded violation: a waiver that suppresses nothing.
 
-/// Nothing below the waiver violates `no-print`.
+/// Nothing below the waiver violates `float-accum`.
 pub fn quiet() -> u32 {
-    // lint: allow(no-print)
+    // lint: allow(float-accum)
     41 + 1
 }

@@ -9,6 +9,8 @@
 //! `AppName` is any of the paper's 25 workloads (default: `Email`), e.g.
 //! `Twitter`, `CameraVideo`, or a combo like `Music/WB`.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use hps::analysis::figures::{
     fig4_size_distributions, fig5_response_distributions, fig6_interarrival_distributions,
 };

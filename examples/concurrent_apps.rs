@@ -7,6 +7,13 @@
 //! cargo run --release --example concurrent_apps
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 use hps::analysis::tables::{table_iii, table_iv};
 use hps::emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps::workloads::combo::{all_combo_definitions, generate_combo, generate_merged};

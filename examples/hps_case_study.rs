@@ -8,6 +8,13 @@
 //! (The full 18-trace version is `cargo run --release -p hps-bench --bin
 //! repro -- fig8 fig9`.)
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 use hps::analysis::casestudy::{fig8_table, fig9_table, run_case_study};
 use hps::workloads::{by_name, generate};
 

@@ -6,6 +6,8 @@
 //! cargo run --release --example io_stack_tour
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use hps::iostack::biotracer::{measure_overhead, BioTracer};
 use hps::iostack::driver::pack_writes;
 use hps::iostack::BlockLayer;

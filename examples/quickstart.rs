@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use hps::emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps::workloads::{generate, profiles};
 

@@ -6,6 +6,8 @@
 //! cargo run --release --example sqlite_amplification
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use hps::core::{Bytes, SimDuration, SimTime};
 use hps::emmc::{DeviceConfig, EmmcDevice, PowerConfig, SchemeKind};
 use hps::iostack::{IoStack, JournalMode, StackConfig, Transaction};

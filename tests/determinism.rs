@@ -1,5 +1,7 @@
 //! Reproducibility: the entire pipeline is a pure function of the seed.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hps::emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps::trace::Trace;
 use hps::workloads::{by_name, generate};

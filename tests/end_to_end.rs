@@ -1,6 +1,8 @@
 //! Cross-crate integration: workload generation → I/O stack → device →
 //! analysis, exercising the public facade API end to end.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hps::analysis::tables::{table_iii, table_iv};
 use hps::emmc::{ChannelMode, DeviceConfig, EmmcDevice, SchemeKind};
 use hps::iostack::biotracer::BioTracer;
@@ -120,12 +122,12 @@ fn real_device_and_simulator_semantics_differ() {
 #[test]
 fn facade_reexports_are_usable() {
     // The facade's module aliases expose every crate.
-    let _ = hps::core::Bytes::kib(4);
+    assert_eq!(hps::core::Bytes::kib(4).as_u64(), 4096);
     let _ = hps::nand::Geometry::TABLE_V;
     let _ = hps::ftl::gc::GcTrigger::default();
     let _ = hps::emmc::SchemeKind::Hps;
     let _ = hps::trace::Trace::new("x");
-    let _ = hps::workloads::profiles::TWITTER.clone();
+    assert_eq!(hps::workloads::profiles::TWITTER.name, "Twitter");
     let _ = hps::analysis::Table::new(&["col"]);
     assert!(!hps::VERSION.is_empty());
 }

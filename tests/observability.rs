@@ -2,6 +2,8 @@
 //! attached and check the span stream, the metrics registry, and the
 //! Chrome-trace export the `repro` binary would write.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hps::emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps::obs::json::{parse, Value};
 use hps::obs::{render_summary, write_chrome_trace, Event, EventKind, Telemetry, Track};

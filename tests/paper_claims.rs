@@ -4,6 +4,8 @@
 //! traces are exercised by the release-mode `repro` binary; debug-mode
 //! tests use trace prefixes to stay fast).
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use hps::analysis::casestudy::run_case_study;
 use hps::emmc::SchemeKind;
 use hps::trace::{small_request_fraction, SizeStats, Trace};
