@@ -1,6 +1,8 @@
 //! One function per table/figure of the paper's evaluation.
 
-use crate::runner::{combo_traces, individual_traces, replay_each, stream_replay_on, MASTER_SEED};
+use crate::runner::{
+    combo_traces, individual_traces, replayed_traces, stream_replay_on, MASTER_SEED,
+};
 use hps_analysis::casestudy::{
     average_mrt_reduction, average_util_gain, fig8_table, fig9_table, run_case_study, CaseStudyRow,
 };
@@ -48,12 +50,12 @@ pub fn exp_table3() -> String {
 /// device (the stock eMMC stand-in) so service/response/NoWait columns are
 /// populated.
 pub fn exp_table4() -> String {
-    let traces = replay_each(all_25_traces(), SchemeKind::Ps4);
+    let profiles: Vec<_> = all_individual().into_iter().chain(all_combos()).collect();
+    let traces = replayed_traces(&profiles, SchemeKind::Ps4);
     let mut out =
         String::from("Table IV: timing statistics (reconstructed traces replayed on 4PS)\n\n");
     out.push_str(&table_iv(&traces).render());
 
-    let profiles: Vec<_> = all_individual().into_iter().chain(all_combos()).collect();
     let rows: Vec<(String, f64, f64)> = profiles
         .iter()
         .zip(&traces)
@@ -137,7 +139,7 @@ pub fn exp_fig4() -> String {
 
 /// Fig. 5: response-time distributions of the 18 traces replayed on 4PS.
 pub fn exp_fig5() -> String {
-    let traces = replay_each(individual_traces(), SchemeKind::Ps4);
+    let traces = replayed_traces(&all_individual(), SchemeKind::Ps4);
     let mut out = String::from("Fig. 5: response time distributions (percent per bucket)\n\n");
     out.push_str(&fig5_response_distributions(&traces).render());
     out
@@ -153,7 +155,7 @@ pub fn exp_fig6() -> String {
 
 /// Fig. 7: the combo traces' size, response-time, and inter-arrival views.
 pub fn exp_fig7() -> String {
-    let combos = replay_each(combo_traces(), SchemeKind::Ps4);
+    let combos = replayed_traces(&all_combos(), SchemeKind::Ps4);
     let (sizes, responses, gaps) = fig7_combo_views(&combos);
     format!(
         "Fig. 7a: combo request size distributions\n\n{}\n\
@@ -299,7 +301,7 @@ pub fn exp_overhead() -> String {
 
 /// Section III: verifies the six characteristics on the reconstruction.
 pub fn exp_characteristics() -> String {
-    let traces = replay_each(individual_traces(), SchemeKind::Ps4);
+    let traces = replayed_traces(&all_individual(), SchemeKind::Ps4);
     let report = check_characteristics(&traces);
     let mut t = Table::new(&["#", "Claim", "Evidence", "Holds"]);
     for c in &report.checks {

@@ -1321,6 +1321,7 @@ mod tests {
         let (reads, unmapped) = ftl.read_ops(&lpns);
         assert!(unmapped.is_empty(), "re-drive lost data: {unmapped:?}");
         assert_eq!(reads.len(), 4);
+        #[cfg(any(debug_assertions, feature = "sanitize"))]
         enforce(ftl.audit_deep_verify());
     }
 
@@ -1355,6 +1356,7 @@ mod tests {
         }
         let (_, unmapped) = ftl.read_ops(&[Lpn(0), Lpn(1)]);
         assert!(unmapped.is_empty(), "retirement lost live data");
+        #[cfg(any(debug_assertions, feature = "sanitize"))]
         enforce(ftl.audit_deep_verify());
     }
 
@@ -1460,6 +1462,7 @@ mod tests {
             ftl.write_chunk(0, Bytes::kib(4), &[Lpn(i % 6)], Bytes::kib(4))
                 .unwrap();
         }
+        #[cfg(any(debug_assertions, feature = "sanitize"))]
         enforce(ftl.audit_deep_verify());
     }
 

@@ -95,7 +95,6 @@ pub fn lint_source(rel: &str, kind: FileKind, src: &str, report: &mut Report) {
     let ctx = FileCtx {
         rel,
         kind,
-        tokens: &tokens,
         code: &code,
         map: &map,
     };
@@ -193,7 +192,6 @@ fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, String, FileKind)>> 
             ("src", FileKind::Lib),
             ("tests", FileKind::Test),
             ("examples", FileKind::Example),
-            ("benches", FileKind::Bench),
         ] {
             for file in rust_files(&base.join(sub)) {
                 let rel = relative(root, &file);

@@ -116,8 +116,6 @@ pub enum FileKind {
     Test,
     /// `examples/*`.
     Example,
-    /// `benches/*`.
-    Bench,
 }
 
 /// Replay hot-path modules where steady-state heap allocation is banned.
@@ -203,10 +201,8 @@ pub struct FileCtx<'a> {
     pub rel: &'a str,
     /// Target kind.
     pub kind: FileKind,
-    /// Lexed tokens (comments included).
-    pub tokens: &'a [Token<'a>],
     /// Comment-free tokens with joined operators; second element is the
-    /// index into `tokens` (for scope lookup).
+    /// index into the lexed token stream (for scope lookup).
     pub code: &'a [(Token<'a>, usize)],
     /// Scope tree.
     pub map: &'a FileMap,
@@ -322,7 +318,7 @@ fn hash_typed_names<'a>(ctx: &FileCtx<'a>) -> BTreeSet<&'a str> {
 /// `nondet-iter`: iteration over hash-ordered collections without a
 /// same-statement canonicalization.
 fn nondet_iter(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
-    if matches!(ctx.kind, FileKind::Test | FileKind::Bench) {
+    if ctx.kind == FileKind::Test {
         return;
     }
     let names = hash_typed_names(ctx);
@@ -443,12 +439,7 @@ fn int_sum_terminal(ctx: &FileCtx<'_>, start: usize, end: usize) -> bool {
 
 /// `float-accum`: order-dependent floating-point reductions.
 fn float_accum(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
-    if FLOAT_EXEMPT.contains(&ctx.rel)
-        || matches!(
-            ctx.kind,
-            FileKind::Test | FileKind::Bench | FileKind::Example
-        )
-    {
+    if FLOAT_EXEMPT.contains(&ctx.rel) || matches!(ctx.kind, FileKind::Test | FileKind::Example) {
         return;
     }
     // Names declared as f64/f32 in this file (fields, params, ascriptions).
@@ -530,12 +521,7 @@ fn float_accum(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
 /// `clock-domain`: literal-argument SimTime/SimDuration constructors
 /// outside timing tables and const initializers.
 fn clock_domain(ctx: &FileCtx<'_>, hits: &mut BTreeSet<Hit>) {
-    if CLOCK_OWNERS.contains(&ctx.rel)
-        || matches!(
-            ctx.kind,
-            FileKind::Test | FileKind::Bench | FileKind::Example
-        )
-    {
+    if CLOCK_OWNERS.contains(&ctx.rel) || matches!(ctx.kind, FileKind::Test | FileKind::Example) {
         return;
     }
     for i in 0..ctx.code.len() {

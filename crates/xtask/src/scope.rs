@@ -170,7 +170,7 @@ pub fn parse(tokens: &[Token<'_>]) -> FileMap {
 
         match t.kind {
             TokenKind::LineComment => {
-                collect_waivers(t, tokens, i, current, &mut map.waivers);
+                collect_waivers(t, current, &mut map.waivers);
             }
             TokenKind::Ident => match t.text {
                 "fn" => pending = Some((ScopeKind::Fn, next_ident(tokens, i))),
@@ -296,13 +296,7 @@ fn attribute_extent(tokens: &[Token<'_>], i: usize) -> Option<(usize, bool)> {
 }
 
 /// Parses `lint: allow(...)` occurrences out of one plain line comment.
-fn collect_waivers(
-    comment: &Token<'_>,
-    _tokens: &[Token<'_>],
-    _index: usize,
-    scope: usize,
-    out: &mut Vec<Waiver>,
-) {
+fn collect_waivers(comment: &Token<'_>, scope: usize, out: &mut Vec<Waiver>) {
     let text = comment.text;
     let mut search = 0usize;
     while let Some(found) = text[search..].find("lint: allow") {
