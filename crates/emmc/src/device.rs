@@ -798,6 +798,18 @@ impl EmmcDevice {
         scratch.ops.clear();
         match request.direction {
             Direction::Write => {
+                // Clamping moves a request's start, never its size: a write
+                // larger than the whole logical range would still reach
+                // LPNs past it, which the FTL rejects.
+                if request.size.div_ceil(Bytes::kib(4)) > self.logical_pages {
+                    return Err(Error::CapacityExhausted {
+                        location: format!(
+                            "a {} write exceeds the {} logical capacity",
+                            request.size,
+                            self.ftl.logical_capacity()
+                        ),
+                    });
+                }
                 scratch.chunks.clear();
                 split_request_into(&request, self.config.scheme, &mut scratch.chunks);
                 // Write-allocate into the read cache: recently written data
@@ -1174,6 +1186,23 @@ mod tests {
             .submit(&req(0, 0, Direction::Write, 4, 1 << 40))
             .unwrap();
         assert!(c.finish > c.service_start);
+    }
+
+    #[test]
+    fn write_larger_than_the_device_is_capacity_exhausted() {
+        // Clamping cannot fit a 64 MiB write into 32 MiB; it is an error
+        // (as when the device fills up), and a read that size still serves.
+        for scheme in [SchemeKind::Ps4, SchemeKind::Hps] {
+            let mut dev = device(scheme);
+            let err = dev
+                .submit(&req(0, 0, Direction::Write, 64 << 10, 0))
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::CapacityExhausted { .. }),
+                "{scheme}: {err}"
+            );
+            assert!(dev.submit(&req(1, 1, Direction::Read, 64 << 10, 0)).is_ok());
+        }
     }
 
     #[test]

@@ -1,10 +1,16 @@
-//! Proves the steady-state replay hot path is allocation-free.
+//! Proves the replay hot path is allocation-free, on a warm device and on
+//! a cold one.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up phase that grows every reusable buffer (device scratch, FTL
-//! mapping, GC scratch) to its steady-state capacity, the test submits
-//! further read, write, and GC-triggering write requests and asserts the
-//! allocator was never called.
+//! A counting `#[global_allocator]` wraps the system allocator.
+//!
+//! * Warm: after a warm-up phase that grows every reusable buffer (device
+//!   scratch, GC scratch) to its steady-state capacity, the test submits
+//!   further read, write, and GC-triggering write requests and asserts
+//!   the allocator was never called.
+//! * Cold: a fresh Table V device gets one warm-up request of each size,
+//!   then writes never-touched LPNs spread across its whole logical range
+//!   and reads them back. The FTL's mapping and resident tables are sized
+//!   when the device is built, so first touches allocate nothing either.
 //!
 //! The strict zero assertion only holds in release builds without the
 //! `sanitize` feature: debug/sanitized builds run the shadow-state
@@ -73,6 +79,20 @@ fn req(id: u64, ms: u64, dir: Direction, kib: u64, lba: u64) -> IoRequest {
     IoRequest::new(id, SimTime::from_ms(ms), dir, Bytes::kib(kib), lba)
 }
 
+/// Runs `work` with this thread's allocations counted; returns
+/// `(allocs, reallocs)`.
+fn count_allocs(work: impl FnOnce()) -> (u64, u64) {
+    ALLOCS.store(0, Ordering::Relaxed);
+    REALLOCS.store(0, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    work();
+    COUNTING.with(|c| c.set(false));
+    (
+        ALLOCS.load(Ordering::Relaxed),
+        REALLOCS.load(Ordering::Relaxed),
+    )
+}
+
 /// One test (not several) so the global counting window can't race a
 /// concurrently running sibling test in the same binary.
 #[test]
@@ -112,41 +132,79 @@ fn steady_state_replay_does_not_allocate() {
 
     // Measured phase: reads, writes, and enough sustained writes that GC
     // provably ran while the counter was live.
-    ALLOCS.store(0, Ordering::Relaxed);
-    REALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    for round in 0..3u64 {
-        let mut lpn = 0u64;
-        while lpn < logical_pages {
-            let kib = if (lpn / 4).is_multiple_of(2) { 16 } else { 4 };
-            submit(&mut dev, Direction::Write, kib, lpn * 4096);
-            lpn += kib / 4;
+    let warm = count_allocs(|| {
+        for _round in 0..3u64 {
+            let mut lpn = 0u64;
+            while lpn < logical_pages {
+                let kib = if (lpn / 4).is_multiple_of(2) { 16 } else { 4 };
+                submit(&mut dev, Direction::Write, kib, lpn * 4096);
+                lpn += kib / 4;
+            }
+            for read_lpn in (0..logical_pages).step_by(16) {
+                submit(&mut dev, Direction::Read, 16, read_lpn * 4096);
+            }
         }
-        for read_lpn in (0..logical_pages).step_by(16) {
-            submit(&mut dev, Direction::Read, 16, read_lpn * 4096);
-        }
-        let _ = round;
-    }
-    COUNTING.with(|c| c.set(false));
-
-    let allocs = ALLOCS.load(Ordering::Relaxed);
-    let reallocs = REALLOCS.load(Ordering::Relaxed);
+    });
     let measured_gc_runs = dev.ftl().stats().gc_runs - warm_gc_runs;
     assert!(
         measured_gc_runs > 0,
         "measured phase must exercise garbage collection"
     );
 
+    // Cold device: the paper's 32 GiB HPS part, fresh. One request of each
+    // size at LPN 0 sizes the device's scratch buffers; the measured
+    // writes then land on LPNs nothing has touched, spread over the whole
+    // logical range, and are read back.
+    const SIZES_KIB: [u64; 3] = [4, 8, 16];
+    const SPOTS: u64 = 512;
+    let mut cold = EmmcDevice::new(DeviceConfig::table_v(SchemeKind::Hps)).expect("valid config");
+    let cold_pages = cold.ftl().logical_capacity().as_u64() / 4096;
+    let stride = cold_pages / SPOTS;
+    for dir in [Direction::Write, Direction::Read] {
+        for kib in SIZES_KIB {
+            submit(&mut cold, dir, kib, 0);
+        }
+    }
+    let mapped_before = cold.ftl().mapped_lpns();
+    let spot = |k: u64| (k * stride + stride / 2) * 4096;
+    let cold_counts = count_allocs(|| {
+        for dir in [Direction::Write, Direction::Read] {
+            for k in 0..SPOTS {
+                submit(&mut cold, dir, SIZES_KIB[k as usize % 3], spot(k));
+            }
+        }
+    });
+    let cold_mapped = cold.ftl().mapped_lpns() - mapped_before;
+    assert_eq!(
+        cold_mapped as u64,
+        (0..SPOTS)
+            .map(|k| SIZES_KIB[k as usize % 3] / 4)
+            .sum::<u64>(),
+        "every measured write maps fresh LPNs"
+    );
+    assert!(
+        spot(SPOTS - 1) / 4096 >= cold_pages - stride,
+        "spots span the range"
+    );
+
     // Debug/sanitized builds run the allocating shadow auditor on every
     // request; only the release non-sanitize build makes the strict
     // zero-allocation guarantee.
     #[cfg(all(not(debug_assertions), not(feature = "sanitize")))]
-    assert_eq!(
-        (allocs, reallocs),
-        (0, 0),
-        "steady-state replay must not touch the heap \
-         ({measured_gc_runs} GC runs during the measured phase)"
-    );
+    {
+        assert_eq!(
+            warm,
+            (0, 0),
+            "steady-state replay must not touch the heap \
+             ({measured_gc_runs} GC runs during the measured phase)"
+        );
+        assert_eq!(
+            cold_counts,
+            (0, 0),
+            "first touches of a cold device must not touch the heap \
+             ({cold_mapped} fresh LPNs mapped)"
+        );
+    }
     #[cfg(any(debug_assertions, feature = "sanitize"))]
-    let _ = (allocs, reallocs);
+    let _ = (warm, cold_counts);
 }

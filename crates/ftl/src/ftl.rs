@@ -13,7 +13,7 @@
 
 use crate::addr::{FlashOp, Lpn, Ppn};
 use crate::gc::{self, GcScratch, GcTrigger};
-use crate::mapping::{MappingTable, ResidentTable};
+use crate::mapping::{MappingTable, PpnLayout, ResidentTable};
 use crate::pool::Pool;
 use crate::recovery::FaultRuntime;
 use crate::space::SpaceAccounting;
@@ -49,8 +49,10 @@ impl FtlConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if there are no pools, any pool is
-    /// empty, page sizes repeat, `pages_per_block` is zero, or the fault
-    /// profile is invalid.
+    /// empty, page sizes repeat, `pages_per_block` is zero, the fault
+    /// profile is invalid, or the flat FTL tables cannot hold the device:
+    /// a packed PPN + 1 (see [`crate::mapping::PpnLayout`]) or the logical
+    /// page count + 1 does not fit in a `u32`.
     pub fn validate(&self) -> Result<()> {
         if self.pools.is_empty() {
             return Err(Error::InvalidConfig("at least one pool required".into()));
@@ -77,7 +79,65 @@ impl FtlConfig {
             seen.push(size);
         }
         self.faults.validate()?;
+        self.ppn_layout()?;
+        if self.logical_pages() >= u64::from(u32::MAX) {
+            return Err(Error::InvalidConfig(format!(
+                "{} logical pages overflow the u32 mapping entries",
+                self.logical_pages()
+            )));
+        }
         Ok(())
+    }
+
+    /// Bad-block spares per pool per plane: fault injection's
+    /// `spare_blocks_per_pool`, or 0 when it is off.
+    fn spares_per_pool(&self) -> usize {
+        if self.faults.enabled() {
+            self.faults.spare_blocks_per_pool
+        } else {
+            0
+        }
+    }
+
+    /// Physical blocks per plane, spares included.
+    fn blocks_per_plane(&self) -> usize {
+        let spares = self.spares_per_pool();
+        self.pools.iter().map(|&(_, count)| count + spares).sum()
+    }
+
+    /// How the FTL tables pack a PPN for this device.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] when a packed PPN + 1 does not fit
+    /// in a `u32`.
+    fn ppn_layout(&self) -> Result<PpnLayout> {
+        let (planes, blocks) = (self.geometry.planes_total(), self.blocks_per_plane());
+        PpnLayout::new(planes, blocks, self.pages_per_block).ok_or_else(|| {
+            Error::InvalidConfig(format!(
+                "{planes} planes x {blocks} blocks x {} pages overflow a u32 packed PPN",
+                self.pages_per_block
+            ))
+        })
+    }
+
+    /// 4 KiB logical pages: the LPN range the device maps.
+    fn logical_pages(&self) -> u64 {
+        self.physical_capacity().as_u64() / Bytes::kib(4).as_u64()
+    }
+
+    /// Empty mapping and resident tables sized for this device, from
+    /// zeroed allocations (see [`crate::mapping`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] when the packed PPN does not fit.
+    pub(crate) fn empty_tables(&self) -> Result<(MappingTable, ResidentTable)> {
+        let layout = self.ppn_layout()?;
+        Ok((
+            MappingTable::new(self.logical_pages() as usize, layout),
+            ResidentTable::new(layout),
+        ))
     }
 
     /// Physical capacity of the whole device.
@@ -207,11 +267,7 @@ impl Ftl {
         // bad-block spares. They live at the tail of the plane's pool
         // segment, invisible to allocation (and to `physical_capacity`,
         // which reads `config.pools`) until a retirement adopts one.
-        let spares = if config.faults.enabled() {
-            config.faults.spare_blocks_per_pool
-        } else {
-            0
-        };
+        let spares = config.spares_per_pool();
         // Constructor-time allocation: runs once per device, never on the replay path.
         let plane_spec: Vec<(Bytes, usize)> = config
             .pools
@@ -231,7 +287,8 @@ impl Ftl {
                     .collect()
             })
             .collect();
-        let blocks_per_plane: usize = plane_spec.iter().map(|&(_, n)| n).sum();
+        let blocks_per_plane = config.blocks_per_plane();
+        let (mapping, residents) = config.empty_tables()?;
         #[cfg(any(debug_assertions, feature = "sanitize"))]
         let shadow = ShadowFlash::new(
             config.geometry.planes_total(),
@@ -252,8 +309,8 @@ impl Ftl {
             planes,
             pools,
             garbage,
-            mapping: MappingTable::new(),
-            residents: ResidentTable::new(),
+            mapping,
+            residents,
             space: SpaceAccounting::new(),
             stats: FtlStats::default(),
             gc_scratch: GcScratch::default(),
@@ -336,8 +393,10 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics if `lpns` is empty/too long, holds duplicates, or `data`
-    /// exceeds `page_size`.
+    /// Panics if `lpns` is empty/too long, holds duplicates, or holds an
+    /// LPN at or past the logical capacity (`logical_capacity() / 4 KiB`;
+    /// the device clamps every request into range, so such an LPN is a
+    /// caller bug), or if `data` exceeds `page_size`.
     pub fn write_chunk(
         &mut self,
         plane: usize,
@@ -381,6 +440,13 @@ impl Ftl {
             lpns.len() < 2 || lpns[0] != lpns[1],
             "duplicate LPN in chunk"
         );
+        for &lpn in lpns {
+            assert!(
+                lpn.0 < self.mapping.lpns() as u64,
+                "{lpn} is past the logical capacity of {} LPNs",
+                self.mapping.lpns()
+            );
+        }
         assert!(data <= page_size, "payload larger than the page");
         if let Some(reason) = self.faults.as_deref().and_then(|f| f.read_only.as_deref()) {
             // Spares exhausted earlier: writes can no longer be placed
@@ -1064,6 +1130,54 @@ mod tests {
     }
 
     #[test]
+    fn config_validation_rejects_devices_the_tables_cannot_pack() {
+        // 8 planes x 2^16 blocks x 2^16 pages: a 35-bit packed PPN.
+        let wide = FtlConfig {
+            geometry: Geometry::TABLE_V,
+            pools: vec![(Bytes::kib(4), 1 << 16)],
+            pages_per_block: 1 << 16,
+            gc_trigger: GcTrigger::default(),
+            faults: FaultConfig::NONE,
+        };
+        // 2^28 physical 64 KiB pages pack into 28 bits, but hold 2^32 LPNs.
+        let deep = FtlConfig {
+            geometry: Geometry::new(1, 1, 1, 1).unwrap(),
+            pools: vec![(Bytes::kib(64), 1 << 12)],
+            pages_per_block: 1 << 16,
+            gc_trigger: GcTrigger::default(),
+            faults: FaultConfig::NONE,
+        };
+        for (config, needle) in [(wide, "packed PPN"), (deep, "logical pages")] {
+            match config.validate() {
+                Err(Error::InvalidConfig(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected InvalidConfig({needle}), got {other:?}"),
+            }
+            assert!(matches!(Ftl::new(config), Err(Error::InvalidConfig(_))));
+        }
+        // Fault spares count towards the block field: 2^10 pool blocks
+        // fill 10 bits, and one spare per pool needs an 11th.
+        let mut c = FtlConfig {
+            geometry: Geometry::new(1, 1, 1, 1).unwrap(),
+            pools: vec![(Bytes::kib(4), 1 << 10)],
+            pages_per_block: 1 << 21,
+            gc_trigger: GcTrigger::default(),
+            faults: FaultConfig::NONE,
+        };
+        assert!(c.validate().is_ok());
+        c.faults = faulty_config(0.0, 0.0, 1).faults;
+        assert!(c.validate().is_err(), "spares push the PPN to 32 bits");
+    }
+
+    #[test]
+    #[should_panic(expected = "past the logical capacity of 16 LPNs")]
+    fn write_past_logical_capacity_panics() {
+        let mut ftl = Ftl::new(tiny_config()).unwrap();
+        assert_eq!(ftl.logical_capacity(), Bytes::kib(4 * 16));
+        ftl.write_chunk(0, Bytes::kib(4), &[Lpn(16)], Bytes::kib(4))
+            .unwrap();
+    }
+
+    #[test]
     fn physical_capacity_matches_table_v_shape() {
         // HPS plane of Table V: 512×4K blocks + 256×8K blocks, 1024 pages,
         // 8 planes → 32 GiB.
@@ -1147,9 +1261,10 @@ mod tests {
 
     #[test]
     fn capacity_exhausts_when_all_live() {
-        let mut ftl = Ftl::new(tiny_config()).unwrap();
-        // 16 distinct LPNs fill the device with live data; GC can reclaim
-        // nothing, so the 17th write must fail.
+        let mut ftl = Ftl::new(hybrid_config()).unwrap();
+        // 16 distinct LPNs fill plane 0's 4 KiB pool with live data; GC can
+        // reclaim nothing, so the 17th write there must fail. The device's
+        // other pages keep all 17 LPNs inside its 64-LPN logical capacity.
         let mut failed = None;
         for i in 0..17 {
             if let Err(e) = ftl.write_chunk(0, Bytes::kib(4), &[Lpn(i)], Bytes::kib(4)) {
@@ -1167,8 +1282,9 @@ mod tests {
         // Regression: a CapacityExhausted raised mid-GC must not diverge
         // the mapping and resident tables. Fill the device with live data,
         // then hammer writes until one fails; afterwards every LPN must
-        // still resolve and be overwritable without panicking.
-        let mut ftl = Ftl::new(tiny_config()).unwrap();
+        // still resolve and be overwritable without panicking. Plane 0's
+        // 4 KiB pool fills at 16 LPNs, inside the 64-LPN logical capacity.
+        let mut ftl = Ftl::new(hybrid_config()).unwrap();
         let mut live: Vec<u64> = Vec::new();
         let mut first_err = None;
         for i in 0..32 {
@@ -1222,7 +1338,7 @@ mod tests {
                 ftl.write_chunk(0, Bytes::kib(8), &[a, Lpn(a.0 + 1)], Bytes::kib(8))
                     .unwrap();
             } else {
-                ftl.write_chunk(0, Bytes::kib(4), &[Lpn(100 + i % 6)], Bytes::kib(4))
+                ftl.write_chunk(0, Bytes::kib(4), &[Lpn(16 + i % 6)], Bytes::kib(4))
                     .unwrap();
             }
             check(&ftl);

@@ -35,6 +35,6 @@ pub mod space;
 pub use addr::{FlashOp, Lpn, OpKind, Ppn};
 pub use ftl::{Ftl, FtlConfig, FtlStats};
 pub use gc::{GcScratch, GcTrigger};
-pub use mapping::{MappingTable, ResidentList, ResidentTable};
+pub use mapping::{MappingTable, PpnLayout, ResidentList, ResidentTable};
 pub use recovery::RecoveryReport;
 pub use space::SpaceAccounting;

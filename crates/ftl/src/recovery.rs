@@ -46,7 +46,6 @@
 
 use crate::addr::{Lpn, Ppn};
 use crate::ftl::Ftl;
-use crate::mapping::{MappingTable, ResidentTable};
 use hps_core::{Bytes, Error, FxHashMap, Result};
 use hps_nand::{FaultConfig, FaultStats, PageAddr, PageState};
 
@@ -280,8 +279,7 @@ impl Ftl {
         // Pass 2: rebuild the mapping and resident tables from the winners
         // and repair page validity to match. Everything not a winner is
         // garbage.
-        self.mapping = MappingTable::new();
-        self.residents = ResidentTable::new();
+        (self.mapping, self.residents) = self.config.empty_tables()?;
         for pi in 0..self.planes.len() {
             for bi in 0..self.planes[pi].blocks_total() {
                 let id = hps_nand::BlockId(bi);
@@ -358,7 +356,7 @@ impl Ftl {
                         };
                         let mut raw = [0u64; 2];
                         let lpns = self.residents.residents(ppn);
-                        for (slot, lpn) in raw.iter_mut().zip(lpns) {
+                        for (slot, lpn) in raw.iter_mut().zip(lpns.iter()) {
                             *slot = lpn.0;
                         }
                         let tick = shadow.try_program(pi, bi, page, &raw[..lpns.len()], capacity);

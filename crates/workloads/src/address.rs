@@ -17,8 +17,50 @@
 //!   probability to compensate, so the generated trace's localities match
 //!   the table to within sampling noise.
 
-use hps_core::hash::FxHashSet;
 use hps_core::{Bytes, SimRng};
+
+/// A set of 4 KiB page numbers: one bit per page, plus the count of
+/// distinct members. The bitmap starts zeroed over the footprint and grows
+/// when a member lies past it (a re-accessed start address near the
+/// footprint's end, with a larger request size than before).
+#[derive(Clone, Debug)]
+struct PageSet {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl PageSet {
+    /// An empty set with room for pages `0..pages` before it grows.
+    fn with_pages(pages: u64) -> Self {
+        PageSet {
+            words: vec![0; pages.div_ceil(64) as usize],
+            len: 0,
+        }
+    }
+
+    fn contains(&self, page: u64) -> bool {
+        self.words
+            .get((page / 64) as usize)
+            .is_some_and(|w| (w >> (page % 64)) & 1 == 1)
+    }
+
+    fn insert(&mut self, page: u64) {
+        let word = (page / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let bit = 1 << (page % 64);
+        if self.words[word] & bit == 0 {
+            self.words[word] |= bit;
+            self.len += 1;
+        }
+    }
+
+    /// Distinct pages in the set.
+    fn len(&self) -> u64 {
+        self.len
+    }
+}
 
 /// Stateful address generator for one application stream.
 #[derive(Clone, Debug)]
@@ -38,7 +80,7 @@ pub struct AddressModel {
     /// Bump pointer for fresh addresses; always past every covered page.
     next_fresh: u64,
     /// Every 4 KiB page touched so far (the measurement's ground truth).
-    covered: FxHashSet<u64>,
+    covered: PageSet,
     /// Requests generated.
     total: u64,
     /// Requests that were sequential continuations.
@@ -81,7 +123,7 @@ impl AddressModel {
             history: Vec::new(),
             history_cap: 4096,
             next_fresh: 0,
-            covered: FxHashSet::default(),
+            covered: PageSet::with_pages(footprint.as_u64() / 4096),
             total: 0,
             seq_count: 0,
             hit_count: 0,
@@ -129,7 +171,7 @@ impl AddressModel {
         if is_seq {
             self.seq_count += 1;
         }
-        if self.covered.contains(&(start / 4096)) {
+        if self.covered.contains(start / 4096) {
             self.hit_count += 1;
         }
         self.total += 1;
@@ -161,9 +203,9 @@ impl AddressModel {
         // After a wrap the low region is covered; skip forward, at most one
         // pass around the ring — and not at all once the whole footprint is
         // covered (then truly fresh pages no longer exist).
-        if (self.covered.len() as u64) <= max_start_page {
+        if self.covered.len() <= max_start_page {
             let mut scanned = 0u64;
-            while self.covered.contains(&page) && scanned <= max_start_page {
+            while self.covered.contains(page) && scanned <= max_start_page {
                 page += 1;
                 scanned += 1;
                 if page > max_start_page {
@@ -196,6 +238,7 @@ mod tests {
     use super::*;
     use hps_core::{Direction, IoRequest, SimTime};
     use hps_trace::{stats, Trace};
+    use std::collections::BTreeSet;
 
     fn run_trace(spatial: f64, temporal: f64, n: usize) -> Trace {
         let mut model = AddressModel::new(spatial, temporal, Bytes::gib(1));
@@ -297,6 +340,28 @@ mod tests {
             model.sample(&mut rng, Bytes::kib(4));
         }
         assert!(model.history.len() <= model.history_cap);
+    }
+
+    #[test]
+    fn covered_count_includes_pages_past_the_footprint() {
+        // Small requests spread start addresses over a 1 MiB footprint;
+        // re-accessing the late ones with 512 KiB reaches past its end.
+        let footprint = Bytes::mib(1);
+        let mut model = AddressModel::new(10.0, 40.0, footprint);
+        let mut rng = SimRng::seed_from(3);
+        let mut pages = BTreeSet::new();
+        for i in 0..80 {
+            let size = Bytes::kib(if i < 40 { 4 } else { 512 });
+            let start = model.sample(&mut rng, size);
+            pages.extend((0..size.div_ceil(Bytes::kib(4))).map(|p| start / 4096 + p));
+        }
+        let footprint_pages = footprint.as_u64() / 4096;
+        let past = pages.iter().filter(|&&p| p >= footprint_pages).count();
+        assert!(past > 0, "no page past the footprint");
+        assert_eq!(model.covered.len(), pages.len() as u64);
+        for p in 0..2 * footprint_pages {
+            assert_eq!(model.covered.contains(p), pages.contains(&p), "page {p}");
+        }
     }
 
     #[test]
