@@ -11,6 +11,9 @@
 //!   then writes never-touched LPNs spread across its whole logical range
 //!   and reads them back. The FTL's mapping and resident tables are sized
 //!   when the device is built, so first touches allocate nothing either.
+//! * Construction: `EmmcDevice::new` makes as many allocations for a
+//!   Table V device as for a small scaled one of the same scheme, so no
+//!   allocation is made per block or per page.
 //!
 //! The strict zero assertion only holds in release builds without the
 //! `sanitize` feature: debug/sanitized builds run the shadow-state
@@ -187,6 +190,21 @@ fn steady_state_replay_does_not_allocate() {
         "spots span the range"
     );
 
+    // Construction: the configurations are built outside the window, so
+    // only `EmmcDevice::new` is counted.
+    let build_counts = SchemeKind::ALL.map(|scheme| {
+        let sized = [
+            DeviceConfig::table_v(scheme),
+            DeviceConfig::scaled(scheme, 32, 8),
+        ]
+        .map(|cfg| {
+            count_allocs(|| {
+                let _dev = EmmcDevice::new(cfg).expect("valid config");
+            })
+        });
+        (scheme, sized)
+    });
+
     // Debug/sanitized builds run the allocating shadow auditor on every
     // request; only the release non-sanitize build makes the strict
     // zero-allocation guarantee.
@@ -204,7 +222,14 @@ fn steady_state_replay_does_not_allocate() {
             "first touches of a cold device must not touch the heap \
              ({cold_mapped} fresh LPNs mapped)"
         );
+        for (scheme, [table_v, scaled]) in build_counts {
+            assert_eq!(
+                table_v, scaled,
+                "building a {scheme:?} device must allocate the same at any size \
+                 (Table V vs scaled(32, 8), as (allocs, reallocs))"
+            );
+        }
     }
     #[cfg(any(debug_assertions, feature = "sanitize"))]
-    let _ = (warm, cold_counts);
+    let _ = (warm, cold_counts, build_counts);
 }

@@ -359,7 +359,7 @@ impl Ftl {
             for block_idx in 0..plane.blocks_total() {
                 let erases = profile.draw(plane_idx, block_idx);
                 if erases > 0 {
-                    plane.block_mut(BlockId(block_idx)).preage(erases);
+                    plane.preage(BlockId(block_idx), erases);
                 }
             }
         }
@@ -559,9 +559,7 @@ impl Ftl {
             // re-drives the write to the next page.
             let op = FlashOp::program(plane, page_size);
             ops.push(if for_gc { op.gc() } else { op });
-            self.planes[plane]
-                .block_mut(block)
-                .invalidate(ppn.addr.page);
+            self.planes[plane].invalidate(block, ppn.addr.page);
             self.garbage[plane][pool_idx] += 1;
             #[cfg(any(debug_assertions, feature = "sanitize"))]
             {
@@ -824,9 +822,9 @@ impl Ftl {
     fn invalidate_lpn(&mut self, lpn: Lpn) {
         if let Some(old) = self.mapping.unmap(lpn) {
             if self.residents.evict(old, lpn) {
-                let block = self.planes[old.plane].block_mut(old.addr.block);
-                let page_size = block.page_size();
-                block.invalidate(old.addr.page);
+                let plane = &mut self.planes[old.plane];
+                let page_size = plane.block(old.addr.block).page_size();
+                plane.invalidate(old.addr.block, old.addr.page);
                 let pool_idx = self.pool_index(page_size);
                 self.garbage[old.plane][pool_idx] += 1;
             }
@@ -933,7 +931,7 @@ impl Ftl {
             // ...and move its residents across.
             let lpns = self.residents.take(old);
             debug_assert!(!lpns.is_empty(), "valid page with no residents");
-            self.planes[plane].block_mut(victim).invalidate(page);
+            self.planes[plane].invalidate(victim, page);
             self.garbage[plane][pool_idx] += 1;
             self.residents.occupy(new, &lpns);
             for &lpn in lpns.iter() {
@@ -1020,7 +1018,7 @@ impl Ftl {
             self.stats.gc_runs += 1;
             return Ok(());
         }
-        self.planes[plane].block_mut(victim).erase();
+        self.planes[plane].erase(victim);
         #[cfg(any(debug_assertions, feature = "sanitize"))]
         {
             let tick = self.shadow.try_erase(plane, victim.0);

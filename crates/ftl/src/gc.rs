@@ -144,9 +144,9 @@ mod tests {
         }
         let first = placed[0].0;
         let second = placed[4].0;
-        plane.block_mut(first).invalidate(0);
+        plane.invalidate(first, 0);
         for p in 0..3 {
-            plane.block_mut(second).invalidate(p);
+            plane.invalidate(second, p);
         }
         // Make a third block active so both full blocks are candidates.
         pool.allocate_page(&mut plane).unwrap();
@@ -185,7 +185,7 @@ mod tests {
         assert!(!idle_pass_worthwhile(&plane, &pool, idle), "no garbage yet");
         let (b, p) = pool.allocate_page(&mut plane).unwrap();
         pool.allocate_page(&mut plane).unwrap(); // fill block
-        plane.block_mut(b).invalidate(p);
+        plane.invalidate(b, p);
         pool.allocate_page(&mut plane).unwrap(); // retire it (new active)
         assert!(idle_pass_worthwhile(&plane, &pool, idle));
         let thr = GcTrigger::Threshold { min_free_blocks: 1 };

@@ -47,17 +47,16 @@ impl Pool {
     /// this page size (a pool needs at least one working block), or if any
     /// block is not erased.
     pub fn with_spares(plane: &Plane, page_size: Bytes, spare_count: usize) -> Self {
-        let mut members: Vec<BlockId> = plane.iter_pool(page_size).map(|(id, _)| id).collect();
+        // Sized once: building a pool allocates the same whatever its size.
+        let mut members = Vec::with_capacity(plane.iter_pool(page_size).count());
+        for (id, block) in plane.iter_pool(page_size) {
+            assert!(block.is_erased(), "pool must start from erased blocks");
+            members.push(id);
+        }
         assert!(
             members.len() > spare_count,
             "plane needs more than {spare_count} spare {page_size} blocks"
         );
-        for &id in &members {
-            assert!(
-                plane.block(id).is_erased(),
-                "pool must start from erased blocks"
-            );
-        }
         let spares = members.split_off(members.len() - spare_count);
         Pool {
             page_size,
@@ -94,7 +93,7 @@ impl Pool {
     pub fn allocate_page(&mut self, plane: &mut Plane) -> Option<(BlockId, usize)> {
         loop {
             if let Some(active) = self.active {
-                if let Some(page) = plane.block_mut(active).program_next() {
+                if let Some(page) = plane.program_next(active) {
                     return Some((active, page));
                 }
                 // Active block full; retire it.
@@ -252,21 +251,19 @@ mod tests {
             blocks.push((b, p));
         }
         for &(b, p) in &blocks {
-            plane.block_mut(b).invalidate(p);
+            plane.invalidate(b, p);
         }
         // Erase block 0 twice (hot), block 1 once (cold).
-        plane.block_mut(blocks[0].0).erase();
-        {
-            let blk = plane.block_mut(blocks[0].0);
-            blk.program_next();
-            blk.invalidate(0);
-            blk.erase();
-        }
-        plane.block_mut(blocks[1].0).erase();
-        pool.return_erased(&plane, blocks[0].0);
-        pool.return_erased(&plane, blocks[1].0);
+        let (hot, cold) = (blocks[0].0, blocks[1].0);
+        plane.erase(hot);
+        plane.program_next(hot);
+        plane.invalidate(hot, 0);
+        plane.erase(hot);
+        plane.erase(cold);
+        pool.return_erased(&plane, hot);
+        pool.return_erased(&plane, cold);
         let (picked, _) = pool.allocate_page(&mut plane).unwrap();
-        assert_eq!(picked, blocks[1].0, "coldest block promoted first");
+        assert_eq!(picked, cold, "coldest block promoted first");
     }
 
     #[test]
@@ -337,8 +334,8 @@ mod tests {
         pool.rebuild_free_list(&plane);
         assert_eq!(pool.active(), None);
         assert_eq!(pool.free_blocks(), 2);
-        plane.block_mut(b).invalidate(p);
-        plane.block_mut(b).erase();
+        plane.invalidate(b, p);
+        plane.erase(b);
         pool.rebuild_free_list(&plane);
         assert_eq!(pool.free_blocks(), 3);
     }

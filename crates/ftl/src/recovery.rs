@@ -295,10 +295,11 @@ impl Ftl {
                             }
                         }
                     }
-                    let block = self.planes[pi].block_mut(id);
+                    let plane = &mut self.planes[pi];
+                    let state = plane.block(id).page_state(page);
                     if n > 0 {
-                        if block.page_state(page) == PageState::Invalid {
-                            block.revalidate(page);
+                        if state == PageState::Invalid {
+                            plane.revalidate(id, page);
                             report.pages_revalidated += 1;
                         }
                         let ppn = Ppn {
@@ -310,8 +311,8 @@ impl Ftl {
                             self.mapping.remap(lpn, ppn);
                             report.mappings_rebuilt += 1;
                         }
-                    } else if block.page_state(page) == PageState::Valid {
-                        block.invalidate(page);
+                    } else if state == PageState::Valid {
+                        plane.invalidate(id, page);
                         report.pages_invalidated += 1;
                     }
                 }

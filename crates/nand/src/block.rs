@@ -1,8 +1,8 @@
-//! The flash block state machine.
+//! One flash block: its page states and the read view the FTL queries.
 //!
 //! A block is an erase unit holding a fixed number of same-sized pages
-//! (1024 pages per block in Table V). Flash physics impose three rules this
-//! module enforces:
+//! (1024 pages per block in Table V). Flash physics impose three rules
+//! that [`Plane`]'s block operations enforce:
 //!
 //! 1. pages within a block are programmed strictly in order (the write
 //!    pointer only moves forward);
@@ -10,7 +10,15 @@
 //!    erased (`erase-before-write`);
 //! 3. erasing is all-or-nothing at block granularity and increments the
 //!    block's wear count.
+//!
+//! A block owns no memory: its counters are one entry of its plane's
+//! counter array, and its pages are bits of its plane's valid-page bitmap.
+//! A page at or past the write pointer is free; below it, a set bit means
+//! valid and a clear one invalid. [`Block`] is a view of one block whose
+//! counter queries never read the bitmap.
 
+use crate::plane::{BlockId, Plane};
+use core::fmt;
 use hps_core::Bytes;
 
 /// Lifecycle of one flash page.
@@ -24,107 +32,66 @@ pub enum PageState {
     Invalid,
 }
 
-/// One erase unit: a run of same-sized pages with a forward-only write
-/// pointer.
+/// The counters of one block, kept by its [`Plane`] in one array;
+/// `write_ptr` counts the pages programmed since the last erase.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Counters {
+    pub(crate) page_size: Bytes,
+    pub(crate) write_ptr: usize,
+    pub(crate) valid: usize,
+    pub(crate) erase_count: u64,
+}
+
+/// A read-only view of one block of a [`Plane`], from [`Plane::block`].
 ///
 /// # Example
 ///
 /// ```
 /// use hps_core::Bytes;
-/// use hps_nand::Block;
+/// use hps_nand::{BlockId, PageState, Plane};
 ///
-/// let mut b = Block::new(Bytes::kib(4), 4);
-/// let p0 = b.program_next().unwrap();
-/// let p1 = b.program_next().unwrap();
+/// let mut plane = Plane::new(&[(Bytes::kib(4), 1)], 4);
+/// let id = BlockId(0);
+/// let p0 = plane.program_next(id).unwrap();
+/// let p1 = plane.program_next(id).unwrap();
 /// assert_eq!((p0, p1), (0, 1));
-/// b.invalidate(p0);
-/// assert_eq!(b.valid_pages(), 1);
-/// assert_eq!(b.invalid_pages(), 1);
-/// b.invalidate(p1);
-/// b.erase();
-/// assert_eq!(b.free_pages(), 4);
-/// assert_eq!(b.erase_count(), 1);
+/// plane.invalidate(id, p0);
+/// let b = plane.block(id);
+/// assert_eq!((b.valid_pages(), b.invalid_pages()), (1, 1));
+/// assert_eq!(b.page_state(2), PageState::Free);
+/// let mut live = vec![7];
+/// b.valid_page_indices_into(&mut live); // appends
+/// assert_eq!(live, [7, 1]);
+/// plane.invalidate(id, p1);
+/// plane.erase(id);
+/// assert_eq!(plane.block(id).free_pages(), 4);
+/// assert_eq!(plane.block(id).erase_count(), 1);
 /// ```
-#[derive(Clone, Debug)]
-pub struct Block {
-    page_size: Bytes,
-    pages: Vec<PageState>,
-    write_ptr: usize,
-    valid: usize,
-    erase_count: u64,
+#[derive(Clone, Copy)]
+pub struct Block<'a> {
+    pub(crate) plane: &'a Plane,
+    pub(crate) id: BlockId,
+    pub(crate) counters: &'a Counters,
 }
 
-impl Block {
-    /// Creates a fresh (erased) block of `pages_per_block` pages of
-    /// `page_size` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_size` is zero or `pages_per_block` is zero.
-    pub fn new(page_size: Bytes, pages_per_block: usize) -> Self {
-        assert!(!page_size.is_zero(), "page size must be non-zero");
-        assert!(
-            pages_per_block > 0,
-            "a block must contain at least one page"
-        );
-        Block {
-            page_size,
-            pages: vec![PageState::Free; pages_per_block],
-            write_ptr: 0,
-            valid: 0,
-            erase_count: 0,
-        }
+impl fmt::Debug for Block<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Block")
+            .field("id", &self.id)
+            .field("counters", self.counters)
+            .finish()
     }
+}
 
+impl<'a> Block<'a> {
     /// Size of each page in this block.
     pub fn page_size(&self) -> Bytes {
-        self.page_size
+        self.counters.page_size
     }
 
     /// Total pages in the block.
     pub fn pages_per_block(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Programs the next free page, returning its in-block index, or `None`
-    /// if the block is fully written.
-    pub fn program_next(&mut self) -> Option<usize> {
-        // NAND-program phase: array state transition cost, pooled with the
-        // per-op scheduling cost attributed by the device layer.
-        let _prof = hps_obs::profile::phase(hps_obs::Phase::NandProgram);
-        if self.write_ptr >= self.pages.len() {
-            return None;
-        }
-        let idx = self.write_ptr;
-        #[cfg(any(debug_assertions, feature = "sanitize"))]
-        assert_eq!(
-            self.pages[idx],
-            PageState::Free,
-            "write pointer passed a non-free page"
-        );
-        self.pages[idx] = PageState::Valid;
-        self.valid += 1;
-        self.write_ptr += 1;
-        Some(idx)
-    }
-
-    /// Marks a previously programmed page invalid (superseded by a newer
-    /// write elsewhere).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range or not currently [`PageState::Valid`]
-    /// — invalidating a free or already-invalid page indicates FTL mapping
-    /// corruption.
-    pub fn invalidate(&mut self, page: usize) {
-        assert!(page < self.pages.len(), "page index out of range");
-        assert_eq!(
-            self.pages[page],
-            PageState::Valid,
-            "only valid pages can be invalidated (FTL mapping bug)"
-        );
-        self.pages[page] = PageState::Invalid;
-        self.valid -= 1;
+        self.plane.pages_per_block()
     }
 
     /// State of one page.
@@ -133,173 +100,106 @@ impl Block {
     ///
     /// Panics if `page` is out of range.
     pub fn page_state(&self, page: usize) -> PageState {
-        self.pages[page]
-    }
-
-    /// Restores an invalidated page to [`PageState::Valid`].
-    ///
-    /// This exists only for power-loss recovery: the FTL invalidates the
-    /// old physical page *before* programming its replacement, so a crash
-    /// inside that window leaves the durable copy of an LPN flagged
-    /// invalid. Recovery, having determined from OOB metadata that the
-    /// page still holds the newest acknowledged copy, undoes the
-    /// invalidation. Normal operation never calls this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is not behind the write pointer or not currently
-    /// [`PageState::Invalid`].
-    pub fn revalidate(&mut self, page: usize) {
-        assert!(
-            page < self.write_ptr,
-            "only programmed pages can be revalidated"
-        );
-        assert_eq!(
-            self.pages[page],
-            PageState::Invalid,
-            "only invalid pages can be revalidated (recovery bug)"
-        );
-        self.pages[page] = PageState::Valid;
-        self.valid += 1;
-    }
-
-    /// Erases the block: every page becomes free, the write pointer rewinds,
-    /// and the wear count increments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block still holds valid pages — the FTL must migrate
-    /// live data before erasing (this is what garbage collection does).
-    pub fn erase(&mut self) {
-        let _prof = hps_obs::profile::phase(hps_obs::Phase::NandErase);
-        assert_eq!(
-            self.valid, 0,
-            "erasing a block with live data would lose it"
-        );
-        #[cfg(any(debug_assertions, feature = "sanitize"))]
-        hps_core::audit::enforce(self.audit_recount());
-        for p in &mut self.pages {
-            *p = PageState::Free;
+        assert!(page < self.pages_per_block(), "page index out of range");
+        if page >= self.counters.write_ptr {
+            PageState::Free
+        } else if (self.words()[page / 64] >> (page % 64)) & 1 == 1 {
+            PageState::Valid
+        } else {
+            PageState::Invalid
         }
-        self.write_ptr = 0;
-        self.erase_count += 1;
     }
 
     /// Pages still erased and programmable.
     pub fn free_pages(&self) -> usize {
-        self.pages.len() - self.write_ptr
+        self.pages_per_block() - self.counters.write_ptr
     }
 
     /// Pages holding live data.
     pub fn valid_pages(&self) -> usize {
-        self.valid
+        self.counters.valid
     }
 
     /// Pages holding superseded data (reclaimable).
     pub fn invalid_pages(&self) -> usize {
-        self.write_ptr - self.valid
+        self.counters.write_ptr - self.counters.valid
     }
 
     /// Pages programmed since the last erase (the write pointer): recovery
     /// scans exactly `0..programmed_pages()` when rebuilding from OOB
     /// metadata.
     pub fn programmed_pages(&self) -> usize {
-        self.write_ptr
-    }
-
-    /// `true` once every page has been programmed.
-    pub fn is_full(&self) -> bool {
-        self.write_ptr == self.pages.len()
+        self.counters.write_ptr
     }
 
     /// `true` if no page has ever been programmed since the last erase.
     pub fn is_erased(&self) -> bool {
-        self.write_ptr == 0
+        self.counters.write_ptr == 0
     }
 
     /// How many times this block has been erased.
     pub fn erase_count(&self) -> u64 {
-        self.erase_count
+        self.counters.erase_count
     }
 
-    /// Credits `erases` prior erase cycles to a factory-fresh block —
-    /// fleet runs use this to start devices mid-life, so the wear-slope
-    /// term of the fault model conditions on realistic erase counts from
-    /// the first request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block has ever been programmed or erased: pre-aging
-    /// models *history before the simulation*, not a mid-run reset, so it
-    /// is only legal on a pristine block.
-    pub fn preage(&mut self, erases: u64) {
-        assert!(
-            self.is_erased() && self.erase_count == 0,
-            "pre-aging is only legal on a factory-fresh block"
-        );
-        self.erase_count = erases;
+    /// Appends the indices of all currently valid pages into `out` (not
+    /// cleared first), ascending. The GC hot path reuses one buffer across
+    /// victim collections, so steady-state GC performs no heap allocations.
+    pub fn valid_page_indices_into(&self, out: &mut Vec<usize>) {
+        for (i, &word) in self.words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(i * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 
-    /// Recounts the page-state array against the cached `valid` counter and
-    /// write pointer; any divergence means the block state machine itself is
-    /// corrupt.
+    /// Recounts the valid bits against the cached `valid` counter and
+    /// checks that no bit is set at or past the write pointer; any
+    /// divergence means the block state machine itself is corrupt.
     ///
-    /// O(pages), so the simulator only runs it at block-granularity events
-    /// (erase) rather than per program/invalidate. Compiled in for debug
-    /// builds and the `sanitize` feature.
+    /// The simulator only runs it at block-granularity events (erase)
+    /// rather than per program/invalidate. Compiled in for debug builds
+    /// and the `sanitize` feature.
     #[cfg(any(debug_assertions, feature = "sanitize"))]
     pub fn audit_recount(&self) -> Result<(), hps_core::audit::Violation> {
         use hps_core::audit::{InvariantId, Violation};
-        let valid = self
-            .pages
-            .iter()
-            .filter(|&&s| s == PageState::Valid)
-            .count();
-        let programmed = self.pages.iter().filter(|&&s| s != PageState::Free).count();
-        if valid != self.valid || programmed != self.write_ptr {
-            return Err(Violation {
-                invariant: InvariantId::TallyDiverged,
+        let violation = |invariant, detail| {
+            Err(Violation {
+                invariant,
                 sim_time_ns: 0,
                 request: None,
                 addr: None,
-                detail: format!(
-                    "block cache says valid={} write_ptr={}, recount finds valid={valid} programmed={programmed}",
-                    self.valid, self.write_ptr
+                detail,
+            })
+        };
+        let (words, c) = (self.words(), self.counters);
+        let valid: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        if valid != c.valid {
+            return violation(
+                InvariantId::TallyDiverged,
+                format!(
+                    "block counter says valid={}, popcount finds {valid}",
+                    c.valid
                 ),
-            });
+            );
         }
-        if self.pages[self.write_ptr..]
-            .iter()
-            .any(|&s| s != PageState::Free)
+        let (full, rem) = (c.write_ptr / 64, c.write_ptr % 64);
+        if words.get(full).is_some_and(|&w| w >> rem != 0)
+            || words.iter().skip(full + 1).any(|&w| w != 0)
         {
-            return Err(Violation {
-                invariant: InvariantId::ProgramOutOfOrder,
-                sim_time_ns: 0,
-                request: None,
-                addr: None,
-                detail: "programmed page found beyond the write pointer".to_string(),
-            });
+            return violation(
+                InvariantId::ProgramOutOfOrder,
+                "programmed page found beyond the write pointer".to_string(),
+            );
         }
         Ok(())
     }
 
-    /// Indices of all currently valid pages (used by GC migration).
-    pub fn valid_page_indices(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.valid);
-        self.valid_page_indices_into(&mut out);
-        out
-    }
-
-    /// Appends the indices of all currently valid pages into `out` (not
-    /// cleared first). The GC hot path reuses one buffer across victim
-    /// collections, so steady-state GC performs no heap allocations.
-    pub fn valid_page_indices_into(&self, out: &mut Vec<usize>) {
-        out.extend(
-            self.pages
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &s)| (s == PageState::Valid).then_some(i)),
-        );
+    /// This block's words of the plane's valid-page bitmap.
+    fn words(&self) -> &'a [u64] {
+        self.plane.valid_words(self.id)
     }
 }
 
@@ -307,128 +207,83 @@ impl Block {
 mod tests {
     use super::*;
 
-    fn block4(pages: usize) -> Block {
-        Block::new(Bytes::kib(4), pages)
-    }
+    const B: BlockId = BlockId(0);
 
-    #[test]
-    fn sequential_program_until_full() {
-        let mut b = block4(3);
-        assert_eq!(b.program_next(), Some(0));
-        assert_eq!(b.program_next(), Some(1));
-        assert_eq!(b.program_next(), Some(2));
-        assert_eq!(b.program_next(), None);
-        assert!(b.is_full());
-        assert_eq!(b.free_pages(), 0);
-    }
-
-    #[test]
-    fn accounting_tracks_states() {
-        let mut b = block4(4);
-        b.program_next();
-        b.program_next();
-        b.invalidate(0);
-        assert_eq!(b.valid_pages(), 1);
-        assert_eq!(b.invalid_pages(), 1);
-        assert_eq!(b.free_pages(), 2);
-        assert_eq!(b.page_state(0), PageState::Invalid);
-        assert_eq!(b.page_state(1), PageState::Valid);
-        assert_eq!(b.page_state(2), PageState::Free);
-    }
-
-    #[test]
-    fn erase_resets_and_counts_wear() {
-        let mut b = block4(2);
-        b.program_next();
-        b.program_next();
-        b.invalidate(0);
-        b.invalidate(1);
-        b.erase();
-        assert!(b.is_erased());
-        assert_eq!(b.free_pages(), 2);
-        assert_eq!(b.erase_count(), 1);
-        // Programmable again after erase.
-        assert_eq!(b.program_next(), Some(0));
-    }
-
-    #[test]
-    fn valid_page_indices_lists_live_data() {
-        let mut b = block4(4);
-        for _ in 0..3 {
-            b.program_next();
-        }
-        b.invalidate(1);
-        assert_eq!(b.valid_page_indices(), vec![0, 2]);
-    }
-
-    #[test]
-    fn revalidate_undoes_invalidation() {
-        let mut b = block4(4);
-        b.program_next();
-        b.program_next();
-        b.invalidate(0);
-        b.revalidate(0);
-        assert_eq!(b.page_state(0), PageState::Valid);
-        assert_eq!(b.valid_pages(), 2);
-        assert_eq!(b.invalid_pages(), 0);
+    /// A plane of one 4 KiB block of `pages` pages.
+    fn block4(pages: usize) -> Plane {
+        Plane::new(&[(Bytes::kib(4), 1)], pages)
     }
 
     #[test]
     #[should_panic(expected = "only invalid pages")]
     fn revalidate_valid_page_panics() {
-        let mut b = block4(2);
-        b.program_next();
-        b.revalidate(0);
+        let mut p = block4(2);
+        p.program_next(B);
+        p.revalidate(B, 0);
     }
 
     #[test]
     #[should_panic(expected = "only programmed pages")]
     fn revalidate_free_page_panics() {
-        let mut b = block4(2);
-        b.revalidate(0);
+        let mut p = block4(2);
+        p.revalidate(B, 0);
     }
 
     #[test]
     #[should_panic(expected = "live data")]
     fn erase_with_valid_pages_panics() {
-        let mut b = block4(2);
-        b.program_next();
-        b.erase();
+        let mut p = block4(2);
+        p.program_next(B);
+        p.erase(B);
     }
 
     #[test]
     #[should_panic(expected = "only valid pages")]
     fn invalidate_free_page_panics() {
-        let mut b = block4(2);
-        b.invalidate(0);
+        let mut p = block4(2);
+        p.invalidate(B, 0);
     }
 
     #[test]
     #[should_panic(expected = "only valid pages")]
     fn double_invalidate_panics() {
-        let mut b = block4(2);
-        b.program_next();
-        b.invalidate(0);
-        b.invalidate(0);
+        let mut p = block4(2);
+        p.program_next(B);
+        p.invalidate(B, 0);
+        p.invalidate(B, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn invalidate_past_the_block_panics() {
+        // Page 64 of a 64-page block would be bit 0 of the next block's
+        // first word.
+        let mut p = Plane::new(&[(Bytes::kib(4), 2)], 64);
+        p.program_next(BlockId(1));
+        p.invalidate(B, 64);
     }
 
     #[test]
     fn preage_credits_history_without_touching_pages() {
-        let mut b = block4(2);
-        b.preage(500);
-        assert_eq!(b.erase_count(), 500);
-        assert!(b.is_erased());
-        b.program_next();
-        b.invalidate(0);
-        b.erase();
-        assert_eq!(b.erase_count(), 501, "live erases stack on the credit");
+        let mut p = block4(2);
+        p.preage(B, 500);
+        assert_eq!(p.block(B).erase_count(), 500);
+        assert!(p.block(B).is_erased());
+        p.program_next(B);
+        p.invalidate(B, 0);
+        p.erase(B);
+        assert_eq!(
+            p.block(B).erase_count(),
+            501,
+            "live erases stack on the credit"
+        );
     }
 
     #[test]
     #[should_panic(expected = "factory-fresh")]
     fn preage_after_use_panics() {
-        let mut b = block4(2);
-        b.program_next();
-        b.preage(10);
+        let mut p = block4(2);
+        p.program_next(B);
+        p.preage(B, 10);
     }
 }

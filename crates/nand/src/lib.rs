@@ -8,13 +8,14 @@
 //! * [`timing`] — page read/program and block erase latencies, plus the
 //!   channel transfer cost, for 4 KiB and 8 KiB pages (Micron datasheet
 //!   values quoted in the paper).
-//! * [`block`] — the page/block state machine that enforces flash's
-//!   physical constraints: pages program sequentially within a block, a
-//!   programmed page cannot be rewritten until its block is erased, and
-//!   erases happen at block granularity only.
+//! * [`block`] — page states and the read-only view of one block.
 //! * [`plane`] — a plane as a pool of blocks, possibly with *mixed page
 //!   sizes* (the HPS enabler: page size is uniform within a block but may
-//!   vary across blocks of the same die, Fig. 10 of the paper).
+//!   vary across blocks of the same die, Fig. 10 of the paper). It keeps
+//!   every block's state in one counter array and one bitmap, and its
+//!   block operations enforce flash's physical constraints: pages program
+//!   sequentially within a block, a programmed page cannot be rewritten
+//!   until its block is erased, and erases happen at block granularity.
 //! * [`wear`] — erase-count accounting used by the wear-leveling analysis.
 //! * [`faults`] — deterministic, seed-driven fault injection: program/erase
 //!   failure draws, a wear- and disturb-dependent raw bit-error model, and

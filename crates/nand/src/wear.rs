@@ -243,9 +243,9 @@ mod tests {
     fn from_planes_walks_all_blocks() {
         let mut p = Plane::new(&[(Bytes::kib(4), 2)], 2);
         use crate::plane::BlockId;
-        let pg = p.block_mut(BlockId(0)).program_next().unwrap();
-        p.block_mut(BlockId(0)).invalidate(pg);
-        p.block_mut(BlockId(0)).erase();
+        let pg = p.program_next(BlockId(0)).unwrap();
+        p.invalidate(BlockId(0), pg);
+        p.erase(BlockId(0));
         let s = WearStats::from_planes([&p].into_iter());
         assert_eq!(s.blocks(), 2);
         assert_eq!(s.total(), 1);
