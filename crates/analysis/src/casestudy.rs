@@ -12,7 +12,7 @@
 use crate::report::{fnum, Table};
 use hps_core::{par, Result};
 use hps_emmc::{DeviceConfig, EmmcDevice, PowerConfig, ReplayMetrics, SchemeKind};
-use hps_trace::Trace;
+use hps_trace::{Trace, TraceCursor};
 
 /// Results of one trace replayed on all three schemes.
 #[derive(Clone, Debug)]
@@ -59,7 +59,9 @@ pub fn case_study_device(scheme: SchemeKind) -> Result<EmmcDevice> {
 }
 
 /// Replays `trace` on all three Table V schemes (fresh device each) and
-/// returns the per-scheme metrics.
+/// returns the per-scheme metrics. Each replay reads the trace through a
+/// [`TraceCursor`], so the trace is shared, not copied, and keeps no
+/// timestamps.
 ///
 /// # Errors
 ///
@@ -67,10 +69,7 @@ pub fn case_study_device(scheme: SchemeKind) -> Result<EmmcDevice> {
 /// Table V capacities and the paper's workloads).
 pub fn run_case_study(trace: &Trace) -> Result<CaseStudyRow> {
     let metrics: Vec<ReplayMetrics> = par::par_map(SchemeKind::ALL.to_vec(), |scheme| {
-        let mut dev = case_study_device(scheme)?;
-        let mut replayed = trace.clone();
-        replayed.reset_replay();
-        dev.replay(&mut replayed)
+        case_study_device(scheme)?.replay_stream(&mut TraceCursor::new(trace))
     })
     .into_iter()
     .collect::<Result<_>>()?;
@@ -217,6 +216,35 @@ mod tests {
         );
         assert!(u8_ < u4, "8PS pads 4 KiB tails: {u8_}");
         assert!(row.hps_util_gain_pct() > 0.0);
+    }
+
+    #[test]
+    fn cursor_replay_matches_replaying_a_copy() {
+        // A bursty prefix, so some requests wait and the NoWait count is
+        // neither zero nor the total.
+        let full = hps_workloads::generate(&hps_workloads::profiles::BOOTING, 7);
+        let records = full.records()[..2_000].to_vec();
+        let trace = Trace::from_records("Booting", records).unwrap();
+        let row = run_case_study(&trace).unwrap();
+        for (scheme, streamed) in SchemeKind::ALL.into_iter().zip(&row.metrics) {
+            let mut copy = trace.clone();
+            let copied = case_study_device(scheme)
+                .unwrap()
+                .replay(&mut copy)
+                .unwrap();
+            assert!(copy.is_replayed());
+            assert_eq!(streamed.trace_name, copied.trace_name);
+            assert_eq!(streamed.response_samples(), copied.response_samples());
+            let service = (&streamed.service_ms, &copied.service_ms);
+            assert_eq!(service.0.bucket_counts(), service.1.bucket_counts());
+            assert_eq!(service.0.sum(), service.1.sum(), "{scheme:?}");
+            assert_eq!(streamed.nowait_requests, copied.nowait_requests);
+            assert_eq!(streamed.total_requests, copied.total_requests);
+            assert_eq!(streamed.ftl, copied.ftl, "{scheme:?}");
+            assert_eq!(streamed.space, copied.space, "{scheme:?}");
+        }
+        let nowait = row.metrics[0].nowait_requests;
+        assert!(0 < nowait && nowait < 2_000, "NoWait {nowait}");
     }
 
     #[test]

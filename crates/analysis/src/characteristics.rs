@@ -1,11 +1,11 @@
 //! Programmatic checks of the paper's six characteristics (Section III).
 //!
-//! Each check evaluates the exact claim of the paper against a set of
-//! traces (normally the 18 reconstructed individual traces) and reports the
-//! supporting counts, so the `repro characteristics` experiment can print a
-//! pass/fail table with evidence.
+//! Each check evaluates the exact claim of the paper against the summaries
+//! of a set of traces (normally the 18 reconstructed individual traces) and
+//! reports the supporting counts, so the `repro characteristics` experiment
+//! can print a pass/fail table with evidence.
 
-use hps_trace::{small_request_fraction, SizeStats, TimingStats, Trace};
+use hps_trace::{TimingStats, TraceSummary};
 
 /// Outcome of one characteristic's check.
 #[derive(Clone, Debug, PartialEq)]
@@ -34,19 +34,25 @@ impl CharacteristicsReport {
     }
 }
 
-/// Runs all six checks over the given traces (expected: the 18 individual
-/// traces in table order). Characteristics 3 and 4 need *replayed* traces;
-/// on raw traces they are evaluated from arrival statistics only.
-pub fn check_characteristics(traces: &[Trace]) -> CharacteristicsReport {
-    let size_stats: Vec<SizeStats> = traces.iter().map(SizeStats::from_trace).collect();
-    let timing: Vec<TimingStats> = traces.iter().map(TimingStats::from_trace).collect();
-    let n = traces.len().max(1);
+/// Runs all six checks over the given summaries (expected: the 18
+/// individual traces in table order). Characteristics 3 and 4 need
+/// summaries of *replayed* traces; on raw traces they are evaluated from
+/// arrival statistics only.
+pub fn check_characteristics(summaries: &[TraceSummary]) -> CharacteristicsReport {
+    let timing: Vec<&TimingStats> = summaries.iter().map(|s| &s.timing).collect();
+    let n = summaries.len().max(1);
 
     let mut checks = Vec::new();
 
     // Characteristic 1: most applications are write-dominant; >90% for 6.
-    let dominant = size_stats.iter().filter(|s| s.write_req_pct > 50.0).count();
-    let extreme = size_stats.iter().filter(|s| s.write_req_pct > 90.0).count();
+    let dominant = summaries
+        .iter()
+        .filter(|s| s.size.write_req_pct > 50.0)
+        .count();
+    let extreme = summaries
+        .iter()
+        .filter(|s| s.size.write_req_pct > 90.0)
+        .count();
     checks.push(CharacteristicCheck {
         number: 1,
         claim: "Most smartphone applications are write-dominant (15/18; 6 above 90%)",
@@ -56,12 +62,9 @@ pub fn check_characteristics(traces: &[Trace]) -> CharacteristicsReport {
 
     // Characteristic 2: small (4 KiB) requests are the majority bucket in
     // most traces (44.9%–57.4% in 15/18).
-    let in_band = traces
+    let in_band = summaries
         .iter()
-        .filter(|t| {
-            let f = small_request_fraction(t);
-            (0.40..=0.62).contains(&f)
-        })
+        .filter(|s| (0.40..=0.62).contains(&s.small_fraction))
         .count();
     checks.push(CharacteristicCheck {
         number: 2,
@@ -71,7 +74,11 @@ pub fn check_characteristics(traces: &[Trace]) -> CharacteristicsReport {
     });
 
     // Characteristic 3: most requests are served immediately (NoWait).
-    let replayed: Vec<&TimingStats> = timing.iter().filter(|s| s.mean_response_ms > 0.0).collect();
+    let replayed: Vec<&TimingStats> = timing
+        .iter()
+        .filter(|s| s.mean_response_ms > 0.0)
+        .copied()
+        .collect();
     let high_nowait = replayed.iter().filter(|s| s.nowait_pct >= 63.0).count();
     let c3_holds = if replayed.is_empty() {
         false
@@ -151,14 +158,11 @@ pub fn check_characteristics(traces: &[Trace]) -> CharacteristicsReport {
         .iter()
         .filter(|s| s.mean_interarrival_ms >= 200.0)
         .count();
-    let heavy_tail = traces
+    let heavy_tail = summaries
         .iter()
-        .filter(|t| {
-            let h = hps_trace::interarrival_histogram(t);
-            if h.total() == 0 {
-                return false;
-            }
-            1.0 - h.cumulative_fraction(2) > 0.20 // above 16 ms
+        .filter(|s| {
+            let h = &s.interarrivals;
+            h.total() > 0 && 1.0 - h.cumulative_fraction(2) > 0.20 // above 16 ms
         })
         .count();
     checks.push(CharacteristicCheck {
@@ -177,9 +181,10 @@ pub fn check_characteristics(traces: &[Trace]) -> CharacteristicsReport {
 mod tests {
     use super::*;
     use hps_core::{Bytes, Direction, IoRequest, SimTime};
+    use hps_trace::Trace;
 
     /// A synthetic "smartphone-like" trace that satisfies the claims.
-    fn phone_like(name: &str, seed: u64) -> Trace {
+    fn phone_like(name: &str, seed: u64) -> TraceSummary {
         let mut t = Trace::new(name);
         let mut lba = seed * 1_000_000;
         for i in 0..200u64 {
@@ -199,12 +204,12 @@ mod tests {
                 lba,
             ));
         }
-        t
+        TraceSummary::of(&t)
     }
 
     #[test]
     fn characteristics_1_2_6_hold_on_phone_like_traces() {
-        let traces: Vec<Trace> = (0..4).map(|i| phone_like(&format!("t{i}"), i)).collect();
+        let traces: Vec<TraceSummary> = (0..4).map(|i| phone_like(&format!("t{i}"), i)).collect();
         let report = check_characteristics(&traces);
         assert!(report.checks[0].holds, "c1: {}", report.checks[0].evidence);
         assert!(report.checks[1].holds, "c2: {}", report.checks[1].evidence);

@@ -6,52 +6,50 @@
 //! stacked-bar charts.
 
 use crate::report::{fnum, Table};
-use hps_core::{par, Histogram};
+use hps_core::Histogram;
 use hps_trace::{
-    bucket_labels, interarrival_histogram, response_histogram, size_histogram, Trace,
-    INTERARRIVAL_EDGES_MS, RESPONSE_EDGES_MS, SIZE_EDGES_KIB,
+    bucket_labels, TraceSummary, INTERARRIVAL_EDGES_MS, RESPONSE_EDGES_MS, SIZE_EDGES_KIB,
 };
 
 fn distribution_table(
-    traces: &[Trace],
+    summaries: &[TraceSummary],
     edges: &[f64],
     unit: &str,
-    hist_of: impl Fn(&Trace) -> Histogram + Sync,
+    hist_of: impl Fn(&TraceSummary) -> &Histogram,
 ) -> Table {
     let labels = bucket_labels(edges, unit);
     let mut headers: Vec<&str> = vec!["Application"];
     headers.extend(labels.iter().map(String::as_str));
     let mut t = Table::new(&headers);
-    for row in par::par_map(traces.iter().collect(), |trace: &Trace| {
-        let h = hist_of(trace);
-        let mut cells = vec![trace.name().to_string()];
-        cells.extend(h.fractions().iter().map(|f| fnum(100.0 * f, 1)));
-        cells
-    }) {
-        t.row(row);
+    for s in summaries {
+        let mut cells = vec![s.name().to_string()];
+        cells.extend(hist_of(s).fractions().iter().map(|f| fnum(100.0 * f, 1)));
+        t.row(cells);
     }
     t
 }
 
 /// Fig. 4: request-size distributions, one row per trace, percent per
 /// bucket.
-pub fn fig4_size_distributions(traces: &[Trace]) -> Table {
-    distribution_table(traces, &SIZE_EDGES_KIB, "KB", size_histogram)
+pub fn fig4_size_distributions(summaries: &[TraceSummary]) -> Table {
+    distribution_table(summaries, &SIZE_EDGES_KIB, "KB", |s| &s.sizes)
 }
 
 /// Fig. 5: response-time distributions (requires replayed traces).
-pub fn fig5_response_distributions(traces: &[Trace]) -> Table {
-    distribution_table(traces, &RESPONSE_EDGES_MS, "ms", response_histogram)
+pub fn fig5_response_distributions(summaries: &[TraceSummary]) -> Table {
+    distribution_table(summaries, &RESPONSE_EDGES_MS, "ms", |s| &s.responses)
 }
 
 /// Fig. 6: inter-arrival-time distributions.
-pub fn fig6_interarrival_distributions(traces: &[Trace]) -> Table {
-    distribution_table(traces, &INTERARRIVAL_EDGES_MS, "ms", interarrival_histogram)
+pub fn fig6_interarrival_distributions(summaries: &[TraceSummary]) -> Table {
+    distribution_table(summaries, &INTERARRIVAL_EDGES_MS, "ms", |s| {
+        &s.interarrivals
+    })
 }
 
 /// Fig. 7: all three views for the combo traces (the paper shows the same
 /// three distributions restricted to the 7 combos).
-pub fn fig7_combo_views(combos: &[Trace]) -> (Table, Table, Table) {
+pub fn fig7_combo_views(combos: &[TraceSummary]) -> (Table, Table, Table) {
     (
         fig4_size_distributions(combos),
         fig5_response_distributions(combos),
@@ -63,8 +61,9 @@ pub fn fig7_combo_views(combos: &[Trace]) -> (Table, Table, Table) {
 mod tests {
     use super::*;
     use hps_core::{Bytes, Direction, IoRequest, SimTime};
+    use hps_trace::Trace;
 
-    fn trace_with_sizes(sizes_kib: &[u64]) -> Trace {
+    fn trace_with_sizes(sizes_kib: &[u64]) -> TraceSummary {
         let mut t = Trace::new("T");
         for (i, &kib) in sizes_kib.iter().enumerate() {
             t.push_request(IoRequest::new(
@@ -75,7 +74,7 @@ mod tests {
                 i as u64 * 1_000_000,
             ));
         }
-        t
+        TraceSummary::of(&t)
     }
 
     #[test]

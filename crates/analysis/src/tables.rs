@@ -1,11 +1,10 @@
-//! Tables III and IV over a set of traces.
+//! Tables III and IV over a set of trace summaries.
 
 use crate::report::{fnum, Table};
-use hps_core::par;
-use hps_trace::{SizeStats, TimingStats, Trace};
+use hps_trace::TraceSummary;
 
-/// Computes Table III (size-related characteristics) for the given traces.
-pub fn table_iii(traces: &[Trace]) -> Table {
+/// Table III (size-related characteristics), one row per summary.
+pub fn table_iii(summaries: &[TraceSummary]) -> Table {
     let mut t = Table::new(&[
         "Application",
         "Data Size (KB)",
@@ -17,9 +16,8 @@ pub fn table_iii(traces: &[Trace]) -> Table {
         "Write Reqs. Pct.(%)",
         "Write Size Pct.(%)",
     ]);
-    for row in par::par_map(traces.iter().collect(), |trace: &Trace| {
-        let s = SizeStats::from_trace(trace);
-        vec![
+    for s in summaries.iter().map(|s| &s.size) {
+        t.row(vec![
             s.name.clone(),
             s.data_size.as_kib().to_string(),
             s.num_reqs.to_string(),
@@ -29,16 +27,14 @@ pub fn table_iii(traces: &[Trace]) -> Table {
             fnum(s.avg_write_size_kib, 1),
             fnum(s.write_req_pct, 2),
             fnum(s.write_size_pct, 2),
-        ]
-    }) {
-        t.row(row);
+        ]);
     }
     t
 }
 
-/// Computes Table IV (timing-related statistics) for the given traces.
+/// Table IV (timing-related statistics), one row per summary.
 /// Service/response/NoWait columns are only meaningful on replayed traces.
-pub fn table_iv(traces: &[Trace]) -> Table {
+pub fn table_iv(summaries: &[TraceSummary]) -> Table {
     let mut t = Table::new(&[
         "Application",
         "Recording Duration (s)",
@@ -50,9 +46,8 @@ pub fn table_iv(traces: &[Trace]) -> Table {
         "Spatial Locality (%)",
         "Temporal Locality (%)",
     ]);
-    for row in par::par_map(traces.iter().collect(), |trace: &Trace| {
-        let s = TimingStats::from_trace(trace);
-        vec![
+    for s in summaries.iter().map(|s| &s.timing) {
+        t.row(vec![
             s.name.clone(),
             fnum(s.duration_s, 0),
             fnum(s.arrival_rate, 2),
@@ -62,9 +57,7 @@ pub fn table_iv(traces: &[Trace]) -> Table {
             fnum(s.mean_response_ms, 2),
             fnum(s.spatial_locality_pct, 2),
             fnum(s.temporal_locality_pct, 2),
-        ]
-    }) {
-        t.row(row);
+        ]);
     }
     t
 }
@@ -96,8 +89,9 @@ pub fn comparison_table(
 mod tests {
     use super::*;
     use hps_core::{Bytes, Direction, IoRequest, SimTime};
+    use hps_trace::Trace;
 
-    fn tiny_trace() -> Trace {
+    fn tiny_trace() -> TraceSummary {
         let mut t = Trace::new("Tiny");
         t.push_request(IoRequest::new(
             0,
@@ -113,7 +107,7 @@ mod tests {
             Bytes::kib(12),
             8192,
         ));
-        t
+        TraceSummary::of(&t)
     }
 
     #[test]

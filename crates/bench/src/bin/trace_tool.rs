@@ -27,7 +27,7 @@ use hps_analysis::tables::{table_iii, table_iv};
 use hps_emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps_obs::{render_summary, write_chrome_trace, Telemetry};
 use hps_trace::io::{read_trace, write_trace};
-use hps_trace::Trace;
+use hps_trace::{Trace, TraceSummary};
 use hps_workloads::{by_name, generate, COMBO_NAMES, INDIVIDUAL_NAMES};
 use std::fs::File;
 use std::process::exit;
@@ -102,10 +102,9 @@ fn parse_scheme(arg: Option<&str>) -> Result<SchemeKind, Box<dyn std::error::Err
 
 fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let path = args.first().ok_or("stats needs a file")?;
-    let trace = load(path)?;
-    let traces = [trace];
-    println!("{}", table_iii(&traces).render());
-    println!("{}", table_iv(&traces).render());
+    let summaries = [TraceSummary::of(&load(path)?)];
+    println!("{}", table_iii(&summaries).render());
+    println!("{}", table_iv(&summaries).render());
     Ok(())
 }
 

@@ -1,8 +1,6 @@
 //! One function per table/figure of the paper's evaluation.
 
-use crate::runner::{
-    combo_traces, individual_traces, replayed_traces, stream_replay_on, MASTER_SEED,
-};
+use crate::runner::{self, individual_traces, stream_replay_on, MASTER_SEED};
 use hps_analysis::casestudy::{
     average_mrt_reduction, average_util_gain, fig8_table, fig9_table, run_case_study, CaseStudyRow,
 };
@@ -15,31 +13,21 @@ use hps_analysis::tables::{comparison_table, table_iii, table_iv};
 use hps_analysis::{check_characteristics, throughput_sweep};
 use hps_emmc::SchemeKind;
 use hps_iostack::biotracer::measure_overhead;
-use hps_trace::Trace;
 use hps_workloads::{all_combos, all_individual};
-
-fn all_25_traces() -> Vec<Trace> {
-    let mut traces = individual_traces();
-    traces.extend(combo_traces());
-    traces
-}
 
 /// Table III: size-related characteristics of all 25 reconstructed traces,
 /// plus a measured-vs-paper comparison of the write-request percentage.
 pub fn exp_table3() -> String {
-    let traces = all_25_traces();
+    let profiles: Vec<_> = all_individual().into_iter().chain(all_combos()).collect();
+    let summaries = runner::summaries(&profiles, None);
     let mut out =
         String::from("Table III: size-related characteristics (reconstructed traces)\n\n");
-    out.push_str(&table_iii(&traces).render());
+    out.push_str(&table_iii(&summaries).render());
 
-    let profiles: Vec<_> = all_individual().into_iter().chain(all_combos()).collect();
     let rows: Vec<(String, f64, f64)> = profiles
         .iter()
-        .zip(&traces)
-        .map(|(p, t)| {
-            let s = hps_trace::SizeStats::from_trace(t);
-            (p.name.to_string(), p.write_req_pct, s.write_req_pct)
-        })
+        .zip(&summaries)
+        .map(|(p, s)| (p.name.to_string(), p.write_req_pct, s.size.write_req_pct))
         .collect();
     out.push_str("\nWrite Reqs. Pct: paper vs reconstruction\n\n");
     out.push_str(&comparison_table("Reconstructed", &rows).render());
@@ -51,17 +39,20 @@ pub fn exp_table3() -> String {
 /// populated.
 pub fn exp_table4() -> String {
     let profiles: Vec<_> = all_individual().into_iter().chain(all_combos()).collect();
-    let traces = replayed_traces(&profiles, SchemeKind::Ps4);
+    let summaries = runner::summaries(&profiles, Some(SchemeKind::Ps4));
     let mut out =
         String::from("Table IV: timing statistics (reconstructed traces replayed on 4PS)\n\n");
-    out.push_str(&table_iv(&traces).render());
+    out.push_str(&table_iv(&summaries).render());
 
     let rows: Vec<(String, f64, f64)> = profiles
         .iter()
-        .zip(&traces)
-        .map(|(p, t)| {
-            let s = hps_trace::TimingStats::from_trace(t);
-            (p.name.to_string(), p.spatial_pct, s.spatial_locality_pct)
+        .zip(&summaries)
+        .map(|(p, s)| {
+            (
+                p.name.to_string(),
+                p.spatial_pct,
+                s.timing.spatial_locality_pct,
+            )
         })
         .collect();
     out.push_str("\nSpatial locality: paper vs reconstruction\n\n");
@@ -131,31 +122,31 @@ pub fn exp_fig3() -> String {
 
 /// Fig. 4: request-size distributions of the 18 individual traces.
 pub fn exp_fig4() -> String {
-    let traces = individual_traces();
+    let summaries = runner::summaries(&all_individual(), None);
     let mut out = String::from("Fig. 4: request size distributions (percent per bucket)\n\n");
-    out.push_str(&fig4_size_distributions(&traces).render());
+    out.push_str(&fig4_size_distributions(&summaries).render());
     out
 }
 
 /// Fig. 5: response-time distributions of the 18 traces replayed on 4PS.
 pub fn exp_fig5() -> String {
-    let traces = replayed_traces(&all_individual(), SchemeKind::Ps4);
+    let summaries = runner::summaries(&all_individual(), Some(SchemeKind::Ps4));
     let mut out = String::from("Fig. 5: response time distributions (percent per bucket)\n\n");
-    out.push_str(&fig5_response_distributions(&traces).render());
+    out.push_str(&fig5_response_distributions(&summaries).render());
     out
 }
 
 /// Fig. 6: inter-arrival-time distributions of the 18 individual traces.
 pub fn exp_fig6() -> String {
-    let traces = individual_traces();
+    let summaries = runner::summaries(&all_individual(), None);
     let mut out = String::from("Fig. 6: inter-arrival time distributions (percent per bucket)\n\n");
-    out.push_str(&fig6_interarrival_distributions(&traces).render());
+    out.push_str(&fig6_interarrival_distributions(&summaries).render());
     out
 }
 
 /// Fig. 7: the combo traces' size, response-time, and inter-arrival views.
 pub fn exp_fig7() -> String {
-    let combos = replayed_traces(&all_combos(), SchemeKind::Ps4);
+    let combos = runner::summaries(&all_combos(), Some(SchemeKind::Ps4));
     let (sizes, responses, gaps) = fig7_combo_views(&combos);
     format!(
         "Fig. 7a: combo request size distributions\n\n{}\n\
@@ -301,8 +292,8 @@ pub fn exp_overhead() -> String {
 
 /// Section III: verifies the six characteristics on the reconstruction.
 pub fn exp_characteristics() -> String {
-    let traces = replayed_traces(&all_individual(), SchemeKind::Ps4);
-    let report = check_characteristics(&traces);
+    let summaries = runner::summaries(&all_individual(), Some(SchemeKind::Ps4));
+    let report = check_characteristics(&summaries);
     let mut t = Table::new(&["#", "Claim", "Evidence", "Holds"]);
     for c in &report.checks {
         t.row(vec![

@@ -2,15 +2,19 @@
 //! replay with fixed seeds.
 //!
 //! One process-wide store memoizes both expensive steps. Each entry is
-//! built on first demand, and later calls get a cheap clone of its
-//! [`Arc<Trace>`]:
+//! built on first demand, and later calls share it through an [`Arc`];
+//! no accessor copies a trace:
 //!
 //! - [`cached_trace`]: generated traces, keyed by `(name, seed)`. The ~10
 //!   experiments of a `repro all` run read the same 25 traces.
-//! - `replayed_trace`: those traces replayed on a fresh [`replay_on`]
-//!   device, keyed by `(name, seed, scheme)`. Table IV, Fig. 5, Fig. 7
-//!   and the Section III characteristics check all read the 4PS replays,
-//!   so each trace is replayed once per process.
+//! - [`summary`]: the [`TraceSummary`] of such a trace, keyed by `(name,
+//!   seed, scheme)`: of the generated trace when the scheme is `None`
+//!   (Table III, Figs. 4 and 6), of its replay on a fresh [`replay_on`]
+//!   device otherwise. A replay runs on a copy of the generated trace,
+//!   which is dropped once summarized, so the store holds statistics,
+//!   not replayed records. Table IV, Fig. 5, Fig. 7 and the Section III
+//!   characteristics check all read the 4PS summaries, so each trace is
+//!   replayed once per process.
 //!
 //! The store lives as long as the process and never evicts, so a second
 //! run of an experiment in the same process skips the work it memoizes.
@@ -24,39 +28,43 @@
 use hps_core::hash::FxHashMap;
 use hps_core::{par, Result};
 use hps_emmc::{DeviceConfig, EmmcDevice, ReplayMetrics, SchemeKind};
-use hps_trace::Trace;
+use hps_trace::{Trace, TraceSummary};
 use hps_workloads::{all_combos, all_individual, by_name, generate, stream, AppProfile};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The master seed every experiment uses; re-running any experiment
 /// regenerates identical traces and identical numbers.
 pub const MASTER_SEED: u64 = 201_501_104; // IISWC 2015
 
-/// `(name, seed, scheme)`: a generated trace when the scheme is `None`,
-/// its replay on that scheme's [`replay_on`] device otherwise.
-type TraceKey = (String, u64, Option<SchemeKind>);
+/// A process-wide memo table.
+type Store<K, V> = OnceLock<Mutex<FxHashMap<K, Arc<V>>>>;
 
-/// Process-wide store of generated and replayed traces.
-static TRACE_CACHE: OnceLock<Mutex<FxHashMap<TraceKey, Arc<Trace>>>> = OnceLock::new();
+/// Generated traces, keyed by `(name, seed)`.
+static TRACES: Store<(String, u64), Trace> = OnceLock::new();
 
-/// The stored trace for `key`, built by `build` on first use and shared
-/// afterwards. The lock is released while `build` runs, so concurrent
-/// first calls race benignly: both build identical records (generation
-/// and replay are deterministic) and whoever inserts first wins.
+/// Trace summaries, keyed by `(name, seed, scheme)`: of the generated
+/// trace when the scheme is `None`, of its replay otherwise.
+static SUMMARIES: Store<(String, u64, Option<SchemeKind>), TraceSummary> = OnceLock::new();
+
+/// The entry of `store` for `key`, built by `build` on first use and
+/// shared afterwards. The lock is released while `build` runs, so
+/// concurrent first calls race benignly: both build identical values
+/// (generation and replay are deterministic) and whoever inserts first
+/// wins.
 #[expect(
     clippy::expect_used,
     reason = "a poisoned lock means a worker panicked; propagate it"
 )]
-fn memo(key: TraceKey, build: impl FnOnce() -> Trace) -> Arc<Trace> {
-    let cache = TRACE_CACHE.get_or_init(Mutex::default);
-    if let Some(trace) = cache.lock().expect("trace cache poisoned").get(&key) {
-        return Arc::clone(trace);
+fn memo<K: Eq + Hash, V>(store: &Store<K, V>, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+    let map = store.get_or_init(Mutex::default);
+    if let Some(value) = map.lock().expect("trace store poisoned").get(&key) {
+        return Arc::clone(value);
     }
     let built = Arc::new(build());
     Arc::clone(
-        cache
-            .lock()
-            .expect("trace cache poisoned")
+        map.lock()
+            .expect("trace store poisoned")
             .entry(key)
             .or_insert(built),
     )
@@ -69,65 +77,69 @@ fn memo(key: TraceKey, build: impl FnOnce() -> Trace) -> Arc<Trace> {
 ///
 /// Panics if the name is unknown.
 pub fn cached_trace(name: &str, seed: u64) -> Arc<Trace> {
-    memo((name.to_string(), seed, None), || {
+    memo(&TRACES, (name.to_string(), seed), || {
         let profile = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
         generate(&profile, seed)
     })
 }
 
-/// The trace for `(name, seed)` replayed on a fresh [`replay_on`] device
-/// of `scheme`, replayed on first use and shared afterwards.
+/// The summary of the trace for `(name, seed)`: of the generated trace
+/// when `scheme` is `None`, of its replay on a fresh [`replay_on`] device
+/// of that scheme otherwise. Built on first use and shared afterwards;
+/// the replayed records are dropped once summarized.
 ///
 /// # Panics
 ///
 /// Panics if the name is unknown or the replay fails (Table V capacity
 /// fits every paper trace).
-pub(crate) fn replayed_trace(name: &str, seed: u64, scheme: SchemeKind) -> Arc<Trace> {
-    memo((name.to_string(), seed, Some(scheme)), || {
-        let mut trace = Trace::clone(&cached_trace(name, seed));
+pub fn summary(name: &str, seed: u64, scheme: Option<SchemeKind>) -> Arc<TraceSummary> {
+    memo(&SUMMARIES, (name.to_string(), seed, scheme), || {
+        let trace = cached_trace(name, seed);
+        let Some(scheme) = scheme else {
+            return TraceSummary::of(&trace);
+        };
+        let mut replayed = Trace::clone(&trace);
         #[expect(clippy::expect_used, reason = "infallible by construction")]
-        replay_on(&mut trace, scheme).expect("Table V capacity fits every trace");
-        trace
+        replay_on(&mut replayed, scheme).expect("Table V capacity fits every trace");
+        TraceSummary::of(&replayed)
     })
 }
 
-/// The [`MASTER_SEED`] traces of `profiles` replayed on `scheme`, in
-/// input order. Only traces the store lacks are replayed, fanned out
-/// over the job pool; the result is byte-identical to a serial loop.
+/// The [`summary`] of each [`MASTER_SEED`] trace of `profiles` under
+/// `scheme`, in input order. Only summaries the store lacks are built,
+/// fanned out over the job pool; the result is byte-identical to a serial
+/// loop.
 ///
 /// # Panics
 ///
 /// Panics if any replay fails.
-pub fn replayed_traces(profiles: &[AppProfile], scheme: SchemeKind) -> Vec<Trace> {
+pub fn summaries(profiles: &[AppProfile], scheme: Option<SchemeKind>) -> Vec<TraceSummary> {
     let names = profiles.iter().map(|p| p.name).collect();
     par::par_map(names, |name| {
-        Trace::clone(&replayed_trace(name, MASTER_SEED, scheme))
+        TraceSummary::clone(&summary(name, MASTER_SEED, scheme))
     })
 }
 
-/// Generates the 18 individual traces in table order (parallel on first
-/// use, cached afterwards).
-pub fn individual_traces() -> Vec<Trace> {
-    par::par_map(all_individual(), |p| {
-        Trace::clone(&cached_trace(p.name, MASTER_SEED))
-    })
+/// The 18 individual traces in table order (generated in parallel on
+/// first use, shared afterwards).
+pub fn individual_traces() -> Vec<Arc<Trace>> {
+    par::par_map(all_individual(), |p| cached_trace(p.name, MASTER_SEED))
 }
 
-/// Generates the 7 combo traces in table order (parallel on first use,
-/// cached afterwards).
-pub fn combo_traces() -> Vec<Trace> {
-    par::par_map(all_combos(), |p| {
-        Trace::clone(&cached_trace(p.name, MASTER_SEED))
-    })
+/// The 7 combo traces in table order (generated in parallel on first use,
+/// shared afterwards).
+pub fn combo_traces() -> Vec<Arc<Trace>> {
+    par::par_map(all_combos(), |p| cached_trace(p.name, MASTER_SEED))
 }
 
-/// Generates one trace by its paper name.
+/// One trace by its paper name (generated on first use, shared
+/// afterwards).
 ///
 /// # Panics
 ///
 /// Panics if the name is unknown.
-pub fn trace_by_name(name: &str) -> Trace {
-    Trace::clone(&cached_trace(name, MASTER_SEED))
+pub fn trace_by_name(name: &str) -> Arc<Trace> {
+    cached_trace(name, MASTER_SEED)
 }
 
 /// Replays a trace on a fresh [`DeviceConfig::real_device`] of the given
@@ -149,9 +161,9 @@ pub fn replay_on(trace: &mut Trace, scheme: SchemeKind) -> Result<ReplayMetrics>
 /// Replays `scale` streamed generation epochs of one profile on the
 /// [`replay_on`] device, without ever materializing the trace: requests
 /// are produced one at a time, so resident memory stays independent of
-/// `scale`. At `scale = 1` the metrics are identical to
-/// `replay_on(&mut trace_by_name(name), scheme)` because the materialized
-/// trace is the stream's single epoch under the same [`MASTER_SEED`].
+/// `scale`. At `scale = 1` the metrics are identical to [`replay_on`] over
+/// a copy of [`trace_by_name`]`(name)`, because the materialized trace is
+/// the stream's single epoch under the same [`MASTER_SEED`].
 ///
 /// # Errors
 ///
@@ -193,6 +205,22 @@ mod tests {
     }
 
     #[test]
+    fn trace_accessors_share_the_stored_trace() {
+        let stored = cached_trace("Email", MASTER_SEED);
+        assert!(Arc::ptr_eq(&trace_by_name("Email"), &stored));
+        let individual = individual_traces();
+        assert_eq!(individual.len(), 18);
+        let email = individual.iter().find(|t| t.name() == "Email").unwrap();
+        assert!(Arc::ptr_eq(email, &stored));
+        for (stored, shared) in all_combos().iter().zip(combo_traces()) {
+            assert!(Arc::ptr_eq(
+                &cached_trace(stored.name, MASTER_SEED),
+                &shared
+            ));
+        }
+    }
+
+    #[test]
     fn replay_on_fills_timestamps() {
         let mut t = truncate_trace(&trace_by_name("Email"), 50);
         let m = replay_on(&mut t, SchemeKind::Hps).unwrap();
@@ -211,7 +239,7 @@ mod tests {
     fn stream_replay_matches_materialized_at_scale_one() {
         let profile = by_name("Email").unwrap();
         let streamed = stream_replay_on(&profile, SchemeKind::Ps4, 1).unwrap();
-        let mut trace = trace_by_name("Email");
+        let mut trace = Trace::clone(&trace_by_name("Email"));
         let materialized = replay_on(&mut trace, SchemeKind::Ps4).unwrap();
         assert_eq!(streamed.total_requests, materialized.total_requests);
         assert_eq!(streamed.response_samples(), materialized.response_samples());
@@ -220,14 +248,16 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_replay_is_shared_not_redone() {
-        let first = replayed_trace("CallIn", MASTER_SEED, SchemeKind::Ps4);
-        let second = replayed_trace("CallIn", MASTER_SEED, SchemeKind::Ps4);
-        assert!(Arc::ptr_eq(&first, &second));
+    fn a_stored_summary_is_shared_not_redone() {
+        for scheme in [None, Some(SchemeKind::Ps4)] {
+            let first = summary("CallIn", MASTER_SEED, scheme);
+            let second = summary("CallIn", MASTER_SEED, scheme);
+            assert!(Arc::ptr_eq(&first, &second), "{scheme:?}");
+        }
     }
 
     #[test]
-    fn a_stored_replay_equals_a_fresh_one_per_seed_and_scheme() {
+    fn a_stored_summary_equals_a_fresh_replay_per_seed_and_scheme() {
         let keys = [
             (MASTER_SEED, SchemeKind::Ps4),
             (MASTER_SEED, SchemeKind::Hps),
@@ -235,17 +265,26 @@ mod tests {
         ];
         let mut stored = Vec::new();
         for (seed, scheme) in keys {
-            let trace = replayed_trace("CallIn", seed, scheme);
+            let stored_summary = summary("CallIn", seed, Some(scheme));
             let mut fresh = generate(&by_name("CallIn").unwrap(), seed);
             replay_on(&mut fresh, scheme).unwrap();
-            assert!(trace.is_replayed(), "{seed} {scheme:?}");
-            assert_eq!(trace.records(), fresh.records(), "{seed} {scheme:?}");
-            stored.push(trace);
+            assert_eq!(
+                *stored_summary,
+                TraceSummary::of(&fresh),
+                "{seed} {scheme:?}"
+            );
+            assert!(stored_summary.responses.total() > 0, "{seed} {scheme:?}");
+            stored.push(stored_summary);
         }
+        // Without a scheme, the summary is the generated trace's.
+        let generated = summary("CallIn", MASTER_SEED, None);
+        let fresh = generate(&by_name("CallIn").unwrap(), MASTER_SEED);
+        assert_eq!(*generated, TraceSummary::of(&fresh));
+        assert_eq!(generated.responses.total(), 0);
         // Each key is an entry of its own.
         for (i, a) in stored.iter().enumerate() {
             for b in &stored[i + 1..] {
-                assert_ne!(a.records(), b.records());
+                assert_ne!(a, b);
             }
         }
     }
@@ -253,16 +292,16 @@ mod tests {
     #[test]
     fn a_list_of_hits_and_misses_keeps_input_order() {
         // 8PS is used by no other test here, so only YouTube is stored.
-        let hit = replayed_trace("YouTube", MASTER_SEED, SchemeKind::Ps8);
+        let ps8 = Some(SchemeKind::Ps8);
+        let hit = summary("YouTube", MASTER_SEED, ps8);
         let names = ["CallOut", "YouTube", "CallIn"];
         let profiles: Vec<_> = names.iter().map(|n| by_name(n).unwrap()).collect();
-        let traces = replayed_traces(&profiles, SchemeKind::Ps8);
-        let got: Vec<_> = traces.iter().map(Trace::name).collect();
+        let list = summaries(&profiles, ps8);
+        let got: Vec<_> = list.iter().map(TraceSummary::name).collect();
         assert_eq!(got, names);
-        assert_eq!(traces[1].records(), hit.records());
-        for (name, trace) in names.iter().zip(&traces) {
-            let stored = replayed_trace(name, MASTER_SEED, SchemeKind::Ps8);
-            assert_eq!(trace.records(), stored.records(), "{name}");
+        assert_eq!(list[1], *hit);
+        for (name, listed) in names.iter().zip(&list) {
+            assert_eq!(*listed, *summary(name, MASTER_SEED, ps8), "{name}");
         }
     }
 

@@ -23,7 +23,7 @@
 /// assert_eq!(h.counts(), &[2, 1, 0, 1]); // last is overflow
 /// assert!((h.fraction(0) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
     edges: Vec<f64>,
     counts: Vec<u64>,

@@ -934,7 +934,7 @@ impl EmmcDevice {
         Ok(())
     }
 
-    /// Chunks spilled across pools so far (see [`Self::spill_chunk`]).
+    /// Chunks spilled across pools so far (see `spill_chunk`).
     pub fn pool_spills(&self) -> u64 {
         self.pool_spills
     }

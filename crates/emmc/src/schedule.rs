@@ -4,7 +4,7 @@
 //! channels and four dies (Table V geometry); across requests the device is
 //! FIFO (eMMC 4.5 has no command queueing). [`ResourceSchedule`] keeps a
 //! free-at horizon per channel and per die and maps each
-//! [`FlashOp`](hps_ftl::FlashOp) to its completion time:
+//! [`FlashOp`] to its completion time:
 //!
 //! * **read**: the die senses the page (`read` latency), then the data
 //!   crosses the channel (`transfer`);

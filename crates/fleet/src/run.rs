@@ -67,10 +67,13 @@ pub struct FleetOutcome {
     pub snapshot: MetricsSnapshot,
 }
 
-/// Builds the trace cache for a spec: one truncated trace per
-/// `(mix entry, variant)` pair, generated in parallel batches. Traces are
-/// cut to `requests_per_device` records — the replay wraps around the cut
-/// when a device needs more than one pass.
+/// Builds the trace cache for a spec: one `requests_per_device`-record
+/// trace per `(mix entry, variant)` pair, built in parallel batches. Each
+/// is the prefix of the profile's generated trace, drawn from
+/// [`hps_workloads::stream()`] at scale 1 (whose single epoch is the
+/// generated trace by construction), so only the records kept are ever
+/// generated. The replay wraps around the cut when a device needs more
+/// than one pass.
 pub fn build_trace_cache(spec: &FleetSpec) -> TraceCache {
     let mut keys: Vec<(usize, u32)> = Vec::new();
     for m in 0..spec.mix.len() {
@@ -88,14 +91,12 @@ pub fn build_trace_cache(spec: &FleetSpec) -> TraceCache {
             spec.seed ^ TRACE_SEED_SALT,
             ((m as u64) << 32) | u64::from(v),
         );
-        let full = hps_workloads::generate(&profile, seed);
-        let records: Vec<TraceRecord> = full
-            .records()
-            .iter()
+        let mut source = hps_workloads::stream(&profile, seed, 1);
+        let records: Vec<TraceRecord> = std::iter::from_fn(|| source.next_request())
             .take(spec.requests_per_device as usize)
-            .copied()
+            .map(TraceRecord::new)
             .collect();
-        let trace = Trace::from_records(full.name().to_string(), records);
+        let trace = Trace::from_records(profile.name, records);
         Arc::new(trace.expect("prefix stays sorted"))
     });
     keys.into_iter().zip(traces).collect()
@@ -296,6 +297,25 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 150, "limit wraps the 60-record trace into 150 requests");
+    }
+
+    #[test]
+    fn cached_traces_are_prefixes_of_the_generated_traces() {
+        let spec = small_spec(1);
+        let cache = build_trace_cache(&spec);
+        assert_eq!(cache.len(), spec.mix.len() * 2);
+        // The first and the last key: two profiles, both variants.
+        let keys = [cache.keys().next(), cache.keys().last()];
+        for &(m, v) in keys.into_iter().flatten() {
+            let seed = derive_seed(
+                spec.seed ^ TRACE_SEED_SALT,
+                ((m as u64) << 32) | u64::from(v),
+            );
+            let full = hps_workloads::generate(&spec.mix.profile(m), seed);
+            let cached = &cache[&(m, v)];
+            assert_eq!(cached.name(), full.name());
+            assert_eq!(cached.records(), &full.records()[..60], "key ({m}, {v})");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This module is the policy half of the fault-injection subsystem (the
 //! physics half — failure draws and the bit-error model — is
-//! [`hps_nand::faults`]). It owns the per-device [`FaultRuntime`]: the
+//! [`hps_nand::faults`]). It owns the per-device `FaultRuntime`: the
 //! reliability counters, the per-block wear/disturb state the draws are
 //! conditioned on, the simulated out-of-band (OOB) journal that makes
 //! recovery possible, and the armed crash point. It also implements
@@ -13,7 +13,7 @@
 //! Real NAND pages carry a spare ("out-of-band") area the FTL fills with
 //! reverse-map metadata at program time; it is written atomically with the
 //! page payload. The simulation mirrors that contract: every *successful*
-//! page program journals an [`OobEntry`] — the page's resident LPNs plus a
+//! page program journals an `OobEntry` — the page's resident LPNs plus a
 //! device-wide monotonically increasing sequence number — and an erase
 //! discards the block's entries. A failed program journals nothing (the
 //! page is garbage on real hardware too), which is exactly what lets

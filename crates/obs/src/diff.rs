@@ -1,7 +1,7 @@
 //! Comparing two rendered metrics summaries.
 //!
 //! [`render_summary`](crate::render_summary) is the stable text form of a
-//! [`MetricsRegistry`](crate::MetricsRegistry); `repro --metrics-out`
+//! [`MetricsRegistry`]; `repro --metrics-out`
 //! writes it to disk after a replay. This module parses two such files
 //! back into metric values and reports every divergence beyond a relative
 //! tolerance, which is what lets CI re-run an experiment and fail the

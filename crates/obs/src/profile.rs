@@ -26,7 +26,7 @@
 //!
 //! # Zero allocation
 //!
-//! All state lives in a `const`-initialized thread-local [`Accum`]: fixed
+//! All state lives in a `const`-initialized thread-local `Accum`: fixed
 //! arrays of per-phase tick/entry counters, a bounded frame stack, and one
 //! [`LogHistogram`] per phase (`LogHistogram::new` is `const`). Nothing
 //! heap-allocates on either the disarmed or the armed path, preserving the
@@ -258,7 +258,7 @@ fn now() -> u64 {
 }
 
 /// Measured TSC ticks per nanosecond, calibrated once per process against
-/// the OS monotonic clock. 1.0 on targets whose [`now`] already returns
+/// the OS monotonic clock. 1.0 on targets whose `now` already returns
 /// nanoseconds.
 #[cfg_attr(
     target_arch = "x86_64",

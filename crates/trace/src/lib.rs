@@ -16,12 +16,15 @@
 //! * [`stats`] — every column of Table III ([`SizeStats`]) and Table IV
 //!   ([`TimingStats`]).
 //! * [`distributions`] — the bucketing conventions of Figs. 4, 5, and 6.
+//! * [`summary`] — all of the above for one trace, kept as one
+//!   [`TraceSummary`] so the trace can be dropped.
 
 pub mod distributions;
 pub mod io;
 pub mod record;
 pub mod source;
 pub mod stats;
+pub mod summary;
 pub mod trace;
 
 pub use distributions::{
@@ -31,4 +34,5 @@ pub use distributions::{
 pub use record::TraceRecord;
 pub use source::{TraceCursor, TraceSource};
 pub use stats::{SizeStats, TimingStats};
+pub use summary::TraceSummary;
 pub use trace::Trace;

@@ -11,7 +11,7 @@
 //!   address was already accessed by an earlier request (an "address hit").
 
 use crate::trace::Trace;
-use hps_core::hash::FxHashSet;
+use hps_core::hash::FxHashMap;
 use hps_core::{Bytes, Direction, SimDuration};
 
 /// Size-related characteristics of one trace — Table III of the paper.
@@ -168,18 +168,31 @@ pub fn spatial_locality(trace: &Trace) -> f64 {
 
 /// Temporal locality (Section III-C): percentage of requests whose starting
 /// 4 KiB page was covered by an earlier request (an address hit).
+///
+/// Covered pages are one bit each in 64-page words. The words are kept
+/// sparse, keyed by word index, so memory follows the pages a trace
+/// touches rather than its highest address, and marking a request costs
+/// one map entry per 64 pages it spans rather than one per page.
 pub fn temporal_locality(trace: &Trace) -> f64 {
     const PAGE: u64 = 4096;
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    let mut covered: FxHashMap<u64, u64> = FxHashMap::default();
     let mut hits = 0u64;
     for r in trace {
-        let start_page = r.request.lba / PAGE;
-        if seen.contains(&start_page) {
+        let start = r.request.lba / PAGE;
+        let end = start + r.request.page_span(Bytes::new(PAGE));
+        if covered
+            .get(&(start / 64))
+            .is_some_and(|w| (w >> (start % 64)) & 1 == 1)
+        {
             hits += 1;
         }
-        let pages = r.request.page_span(Bytes::new(PAGE));
-        for p in 0..pages {
-            seen.insert(start_page + p);
+        let mut page = start;
+        while page < end {
+            // Pages `page..stop` share one word.
+            let stop = end.min((page / 64 + 1) * 64);
+            let bits = u64::MAX >> (64 - (stop - page));
+            *covered.entry(page / 64).or_insert(0) |= bits << (page % 64);
+            page = stop;
         }
     }
     pct(hits as f64, trace.len() as f64)

@@ -1,7 +1,9 @@
 //! Property-based tests for trace serialization and statistics.
 
+use hps_core::hash::FxHashSet;
 use hps_core::{Bytes, Direction, IoRequest, SimTime};
 use hps_trace::io::{read_trace, write_trace};
+use hps_trace::stats::temporal_locality;
 use hps_trace::{
     interarrival_histogram, size_histogram, SizeStats, TimingStats, Trace, TraceRecord,
 };
@@ -50,7 +52,81 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// The hash-set definition of temporal locality that the word bitmap in
+/// `temporal_locality` replaced, kept as its reference: one set entry per
+/// covered 4 KiB page.
+fn temporal_locality_reference(trace: &Trace) -> f64 {
+    const PAGE: u64 = 4096;
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    let mut hits = 0u64;
+    for r in trace {
+        let start_page = r.request.lba / PAGE;
+        if seen.contains(&start_page) {
+            hits += 1;
+        }
+        let pages = r.request.page_span(Bytes::new(PAGE));
+        for p in 0..pages {
+            seen.insert(start_page + p);
+        }
+    }
+    if trace.is_empty() {
+        0.0
+    } else {
+        100.0 * hits as f64 / trace.len() as f64
+    }
+}
+
+/// Strategy for temporal-locality inputs: sizes of zero bytes, under a
+/// page, unaligned and up to 1,024 pages; addresses low, near the end of
+/// a 32 GiB device, near 2^62, unaligned, or re-accessing an earlier
+/// request's address.
+fn locality_trace_strategy() -> impl Strategy<Value = Trace> {
+    const GIB_32: u64 = 32 << 30;
+    let size = prop_oneof![
+        Just(0u64),
+        1u64..4096,
+        (1u64..64).prop_map(|pages| pages * 4096),
+        1u64..(1024 * 4096),
+    ];
+    let lba = prop_oneof![
+        (0u64..1 << 20).prop_map(|lba| (0u64, lba)),
+        (0u64..64 << 20).prop_map(|back| (0u64, GIB_32 - 1 - back)),
+        (0u64..1 << 20).prop_map(|lba| (0u64, (1 << 62) + lba)),
+        (0u64..1 << 16).prop_map(|earlier| (1u64, earlier)),
+    ];
+    prop::collection::vec((size, lba), 0..100).prop_map(|raw| {
+        let mut trace = Trace::new("locality");
+        let mut lbas: Vec<u64> = Vec::new();
+        for (i, (bytes, (kind, value))) in raw.into_iter().enumerate() {
+            let lba = match kind {
+                1 if !lbas.is_empty() => lbas[value as usize % lbas.len()],
+                _ => value,
+            };
+            lbas.push(lba);
+            let request = IoRequest {
+                size: Bytes::new(bytes),
+                ..IoRequest::new(
+                    i as u64,
+                    SimTime::from_ms(i as u64),
+                    Direction::Write,
+                    Bytes::kib(4),
+                    lba,
+                )
+            };
+            trace.push_request(request);
+        }
+        trace
+    })
+}
+
 proptest! {
+    #[test]
+    fn bitmap_temporal_locality_matches_the_hash_set_reference(
+        trace in locality_trace_strategy()
+    ) {
+        prop_assert_eq!(temporal_locality(&trace), temporal_locality_reference(&trace));
+    }
+
     #[test]
     fn csv_round_trip_is_lossless(trace in trace_strategy()) {
         let mut buf = Vec::new();

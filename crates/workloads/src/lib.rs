@@ -18,7 +18,7 @@
 //! * [`profiles`] — the 18 application profiles with the paper's numbers
 //!   embedded, plus the 7 combo definitions;
 //! * [`generator`] — turns a profile into a [`hps_trace::Trace`];
-//! * [`stream`] — the same request sequence as a streaming
+//! * [`stream`](mod@stream) — the same request sequence as a streaming
 //!   [`hps_trace::TraceSource`], with trace length scaled by a runtime
 //!   knob instead of bounded by memory;
 //! * [`combo`] — merges two applications into a combo trace (Fig. 7);

@@ -17,6 +17,7 @@ use hps::analysis::figures::{
 use hps::analysis::tables::{table_iii, table_iv};
 use hps::emmc::{DeviceConfig, EmmcDevice, SchemeKind};
 use hps::trace::io::write_trace;
+use hps::trace::TraceSummary;
 use hps::workloads::{by_name, generate};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,20 +32,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut device = EmmcDevice::new(DeviceConfig::real_device(SchemeKind::Ps4))?;
     let metrics = device.replay(&mut trace)?;
 
-    let traces = [trace];
-    println!("== Table III row ==\n{}", table_iii(&traces).render());
-    println!("== Table IV row ==\n{}", table_iv(&traces).render());
+    let summaries = [TraceSummary::of(&trace)];
+    println!("== Table III row ==\n{}", table_iii(&summaries).render());
+    println!("== Table IV row ==\n{}", table_iv(&summaries).render());
     println!(
         "== Fig. 4 buckets (size, % per bucket) ==\n{}",
-        fig4_size_distributions(&traces).render()
+        fig4_size_distributions(&summaries).render()
     );
     println!(
         "== Fig. 5 buckets (response time) ==\n{}",
-        fig5_response_distributions(&traces).render()
+        fig5_response_distributions(&summaries).render()
     );
     println!(
         "== Fig. 6 buckets (inter-arrival) ==\n{}",
-        fig6_interarrival_distributions(&traces).render()
+        fig6_interarrival_distributions(&summaries).render()
     );
     println!(
         "replay: NoWait {:.0}%, {} GC runs, {} power-mode switches",
@@ -56,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Persist the replayed trace for external tooling.
     let path = format!("{}.trace.csv", name.replace('/', "_"));
     let file = std::fs::File::create(&path)?;
-    write_trace(&traces[0], file)?;
+    write_trace(&trace, file)?;
     println!("trace written to {path}");
     Ok(())
 }

@@ -16,6 +16,7 @@
 
 use hps::analysis::tables::{table_iii, table_iv};
 use hps::emmc::{DeviceConfig, EmmcDevice, SchemeKind};
+use hps::trace::TraceSummary;
 use hps::workloads::combo::{all_combo_definitions, generate_combo, generate_merged};
 use hps::workloads::generate;
 
@@ -38,9 +39,9 @@ fn main() {
     let m_merged = replay(&mut merged);
 
     println!("== Music/WB, two reconstructions ==\n");
-    let traces = [measured, merged];
-    println!("{}", table_iii(&traces).render());
-    println!("{}", table_iv(&traces).render());
+    let summaries = [TraceSummary::of(&measured), TraceSummary::of(&merged)];
+    println!("{}", table_iii(&summaries).render());
+    println!("{}", table_iv(&summaries).render());
 
     // The paper's point: running two applications concurrently does not
     // blow response times up — each member alone behaves similarly.

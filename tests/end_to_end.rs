@@ -9,7 +9,7 @@ use hps::iostack::biotracer::BioTracer;
 use hps::iostack::driver::pack_writes;
 use hps::iostack::BlockLayer;
 use hps::trace::io::{read_trace, write_trace};
-use hps::trace::{SizeStats, Trace, TraceRecord};
+use hps::trace::{SizeStats, Trace, TraceRecord, TraceSummary};
 use hps::workloads::{by_name, generate};
 use hps_core::Bytes;
 
@@ -32,9 +32,10 @@ fn generate_replay_analyze_pipeline() {
     assert!(metrics.mean_response_ms() > 0.0);
     assert!(metrics.nowait_pct() > 0.0);
 
-    // Analysis consumes the replayed trace.
-    let t3 = table_iii(std::slice::from_ref(&trace));
-    let t4 = table_iv(std::slice::from_ref(&trace));
+    // Analysis consumes the replayed trace's summary.
+    let summaries = [TraceSummary::of(&trace)];
+    let t3 = table_iii(&summaries);
+    let t4 = table_iv(&summaries);
     assert_eq!(t3.len(), 1);
     assert_eq!(t4.len(), 1);
     assert!(t4.render().contains("Messaging"));
