@@ -145,7 +145,7 @@ pub fn average_mrt_reduction(rows: &[CaseStudyRow]) -> f64 {
     }
     rows.iter()
         .map(CaseStudyRow::hps_mrt_reduction_pct)
-        .sum::<f64>() // lint: allow(float-accum) -- fixed-order Vec of case-study rows
+        .sum::<f64>()
         / rows.len() as f64
 }
 
@@ -156,7 +156,7 @@ pub fn average_util_gain(rows: &[CaseStudyRow]) -> f64 {
     }
     rows.iter()
         .map(CaseStudyRow::hps_util_gain_pct)
-        .sum::<f64>() // lint: allow(float-accum) -- fixed-order Vec of case-study rows
+        .sum::<f64>()
         / rows.len() as f64
 }
 

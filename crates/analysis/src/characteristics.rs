@@ -116,7 +116,6 @@ pub fn check_characteristics(summaries: &[TraceSummary]) -> CharacteristicsRepor
             (String::from("insufficient replayed traces"), false)
         } else {
             let mean = |v: &[&TimingStats]| {
-                // lint: allow(float-accum) -- fixed-order slice
                 v.iter().map(|s| s.mean_service_ms).sum::<f64>() / v.len() as f64
             };
             let slow = mean(&slow_apps);

@@ -390,9 +390,10 @@ fn main() {
         }
     }
     eprintln!(
-        "[repro] {} target(s) in {:.2}s total",
+        "[repro] {} target(s) in {:.2}s total, peak rss {}",
         targets.len(),
-        run_started.elapsed().as_secs_f64()
+        run_started.elapsed().as_secs_f64(),
+        peak_rss_display()
     );
 }
 
@@ -534,7 +535,7 @@ fn profile_cmd(target: &str, opts: &Options) -> i32 {
     }
     // The slot self times partition the measured total by construction,
     // so this only trips if the accounting invariant is broken.
-    let share_sum: f64 = report.percentages().iter().sum(); // lint: allow(float-accum) -- fixed-order array
+    let share_sum: f64 = report.percentages().iter().sum();
     if (share_sum - 100.0).abs() > 0.5 {
         eprintln!("phase percentages sum to {share_sum:.3}%, outside 100 +/- 0.5");
         return 1;
@@ -747,7 +748,8 @@ fn fleet_cmd(opts: &Options) -> i32 {
 }
 
 /// Peak resident set size (`VmHWM` from `/proc/self/status`), formatted
-/// for the fleet summary line; "?" where procfs is unavailable.
+/// for the fleet and closing summary lines; "?" where procfs is
+/// unavailable.
 fn peak_rss_display() -> String {
     let hwm_kib = std::fs::read_to_string("/proc/self/status")
         .ok()

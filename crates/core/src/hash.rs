@@ -2,12 +2,13 @@
 //!
 //! `std`'s default `HashMap` hasher is SipHash-1-3: DoS-resistant, but it
 //! processes a 64-bit key in several rounds and its random per-process seed
-//! makes iteration order vary run to run. The FTL mapping table, resident
-//! table, and device read cache hash *trusted* integer keys (LPNs, PPNs)
-//! millions of times per replay, so they use this FxHash-style
-//! multiply-xor hasher instead: one rotate, one xor, and one multiply per
-//! word, with a fixed seed so behaviour is identical across runs — the
-//! determinism the replay harness asserts byte-for-byte.
+//! makes iteration order vary run to run. The device read cache and the
+//! FTL's dedup set for long reads hash *trusted* integer keys (LPNs, PPNs)
+//! on the replay hot path, so they use this FxHash-style multiply-xor
+//! hasher instead: one rotate, one xor, and one multiply per word, with a
+//! fixed seed so behaviour is identical across runs — the determinism the
+//! replay harness asserts byte-for-byte. (The FTL mapping and resident
+//! tables are flat arrays sized from `FtlConfig`, not hash maps.)
 //!
 //! Not collision-resistant against adversarial keys; never use it on
 //! untrusted input.

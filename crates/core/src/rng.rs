@@ -209,7 +209,7 @@ impl SimRng {
     /// Panics if `weights` is empty or sums to zero/negative.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
         assert!(!weights.is_empty(), "weights must be non-empty");
-        let total: f64 = weights.iter().sum(); // lint: allow(float-accum) -- caller-ordered slice; order is part of the API
+        let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "weights must sum to a positive value");
         let mut target = self.uniform() * total;
         for (i, &w) in weights.iter().enumerate() {

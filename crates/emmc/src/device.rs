@@ -206,7 +206,6 @@ impl EmmcDevice {
         let sched = ResourceSchedule::new(config.ftl.geometry, config.timing, config.channel_mode);
         let logical_pages = ftl.logical_capacity().as_u64() / 4096;
         let plane_order = striped_plane_order(config.ftl.geometry);
-        // lint: allow(hot-path-alloc) -- one-time construction, not steady state
         let plane_windows = vec![(SimTime::ZERO, 0u32); ftl.plane_count()];
         let cache = config.write_cache.map(WriteCache::new);
         let slc = config.slc.map(SlcBuffer::new);

@@ -70,7 +70,8 @@ impl Chunk {
 /// assert_eq!(split_request(&req, SchemeKind::Ps4).len(), 5); // 4×5
 /// ```
 pub fn split_request(request: &IoRequest, scheme: SchemeKind) -> Vec<Chunk> {
-    let mut chunks = Vec::new(); // lint: allow(hot-path-alloc) — allocating wrapper; hot path uses split_request_into
+    // Allocating wrapper; the hot path uses `split_request_into`.
+    let mut chunks = Vec::new();
     split_request_into(request, scheme, &mut chunks);
     chunks
 }

@@ -21,8 +21,11 @@
 //! [`DeviceRecord`], folds the record into the shard's [`FleetAccum`],
 //! and *drops the device and record* before touching the next index.
 //! What survives a shard is one accumulator and one merged
-//! [`MetricsSnapshot`] — both fixed-size — so RSS is flat in the device
-//! count: `--devices 100000` peaks within a few MiB of `--devices 1000`.
+//! [`MetricsSnapshot`], both fixed-size. Shards run in fixed windows of
+//! `WINDOW_SHARDS`, and each window's results are folded into the fleet
+//! accumulator and the `SnapshotTreeMerger` (O(log n) partials) before
+//! the next window starts. So RSS is flat in the device count:
+//! `--devices 100000` peaks within a few MiB of `--devices 10000`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,6 +45,11 @@ use crate::spec::{DeviceSetup, FleetSpec};
 /// while keeping ~1500 shards of work-stealing granularity at 100k
 /// devices.
 pub const SHARD_DEVICES: u64 = 64;
+
+/// Shards per parallel window. Each window's results are merged in shard
+/// order before the next window starts, so at most this many shard
+/// results are alive at once, whatever the device or job count.
+const WINDOW_SHARDS: usize = 64;
 
 /// Logical page size of the request address space (4 KiB).
 const PAGE_BYTES: u64 = 4096;
@@ -249,19 +257,20 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetOutcome {
 /// results into one [`FleetOutcome`]. Byte-identical at any `jobs`.
 pub fn run_fleet_jobs(jobs: usize, spec: &FleetSpec) -> FleetOutcome {
     let cache = build_trace_cache(spec);
-    let mut shards: Vec<(u64, u64)> = Vec::new();
-    let mut lo = 0;
-    while lo < spec.devices {
-        let hi = (lo + SHARD_DEVICES).min(spec.devices);
-        shards.push((lo, hi));
-        lo = hi;
-    }
-    let results = par_map_jobs(jobs, shards, |(lo, hi)| run_shard(spec, &cache, lo, hi));
+    let shards: Vec<(u64, u64)> = (0..spec.devices)
+        .step_by(SHARD_DEVICES as usize)
+        .map(|lo| (lo, (lo + SHARD_DEVICES).min(spec.devices)))
+        .collect();
     let mut accum = FleetAccum::new();
     let mut tree = SnapshotTreeMerger::new();
-    for (shard_accum, shard_snapshot) in results {
-        accum.merge(&shard_accum);
-        tree.push(shard_snapshot);
+    for window in shards.chunks(WINDOW_SHARDS) {
+        let results = par_map_jobs(jobs, window.to_vec(), |(lo, hi)| {
+            run_shard(spec, &cache, lo, hi)
+        });
+        for (shard_accum, shard_snapshot) in results {
+            accum.merge(&shard_accum);
+            tree.push(shard_snapshot);
+        }
     }
     FleetOutcome {
         accum,

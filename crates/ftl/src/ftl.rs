@@ -62,7 +62,6 @@ impl FtlConfig {
                 "pages_per_block must be non-zero".into(),
             ));
         }
-        // lint: allow(hot-path-alloc) -- config validation runs once at construction
         let mut seen = Vec::new();
         for &(size, count) in &self.pools {
             if count == 0 {
@@ -302,7 +301,6 @@ impl Ftl {
                 blocks_per_plane,
             ))
         });
-        // lint: allow(hot-path-alloc) -- constructor, runs once per device
         let garbage = vec![vec![0; config.pools.len()]; planes.len()];
         Ok(Ftl {
             config,
@@ -315,7 +313,7 @@ impl Ftl {
             stats: FtlStats::default(),
             gc_scratch: GcScratch::default(),
             read_seen: FxHashSet::default(),
-            read_seen_list: Vec::new(), // lint: allow(hot-path-alloc) -- constructor, runs once per device
+            read_seen_list: Vec::new(),
             faults,
             #[cfg(any(debug_assertions, feature = "sanitize"))]
             shadow,
@@ -404,7 +402,8 @@ impl Ftl {
         lpns: &[Lpn],
         data: Bytes,
     ) -> Result<Vec<FlashOp>> {
-        let mut ops = Vec::new(); // lint: allow(hot-path-alloc) — allocating wrapper; hot path uses write_chunk_into
+        // Allocating wrapper; the hot path uses `write_chunk_into`.
+        let mut ops = Vec::new();
         self.write_chunk_into(plane, page_size, lpns, data, &mut ops)?;
         Ok(ops)
     }
@@ -585,8 +584,8 @@ impl Ftl {
     pub fn read_ops(&mut self, lpns: &[Lpn]) -> (Vec<FlashOp>, Vec<Lpn>) {
         // Allocating wrapper; the hot path uses `read_ops_with` with reused buffers.
         let mut seen: FxHashSet<Ppn> = FxHashSet::default();
-        let mut ops = Vec::new(); // lint: allow(hot-path-alloc)
-        let mut unmapped = Vec::new(); // lint: allow(hot-path-alloc)
+        let mut ops = Vec::new();
+        let mut unmapped = Vec::new();
         self.read_ops_with(
             lpns,
             &mut ReadSeen::Hash(&mut seen),
@@ -660,7 +659,8 @@ impl Ftl {
     /// Returns [`Error::CapacityExhausted`] if migration runs out of space —
     /// possible only on pathologically over-filled devices.
     pub fn idle_gc(&mut self) -> Result<Vec<FlashOp>> {
-        let mut ops = Vec::new(); // lint: allow(hot-path-alloc) — allocating wrapper; hot path uses idle_gc_into
+        // Allocating wrapper; the hot path uses `idle_gc_into`.
+        let mut ops = Vec::new();
         self.idle_gc_into(&mut ops)?;
         Ok(ops)
     }

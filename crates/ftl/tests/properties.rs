@@ -2,16 +2,17 @@
 //! never lose data, never double-count space, and always leave the flash
 //! state consistent; and the hot-path table structures (the flat
 //! [`MappingTable`] and [`ResidentTable`]) behave exactly like their
-//! plain-`HashMap` reference models under arbitrary operation sequences.
+//! plain-map reference models under arbitrary operation sequences.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use hps_core::hash::{FxHashMap, FxHashSet};
+use hps_core::hash::FxHashMap;
 use hps_core::Bytes;
 use hps_ftl::gc::GcTrigger;
 use hps_ftl::{Ftl, FtlConfig, Lpn, MappingTable, Ppn, PpnLayout, ResidentTable};
 use hps_nand::{BlockId, Geometry, PageAddr};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn ppn(plane: usize, block: usize, page: usize) -> Ppn {
     Ppn {
@@ -49,7 +50,7 @@ proptest! {
         // 4 blocks x 8 pages x 4 planes = 128 pages; LPN space of 24 forces
         // constant overwriting, hence GC with live migration.
         let mut ftl = small_ftl(4, 4, 8, false);
-        let mut written: FxHashSet<u64> = FxHashSet::default();
+        let mut written: BTreeSet<u64> = BTreeSet::new();
         for (lpn, plane) in writes {
             ftl.write_chunk(plane, Bytes::kib(4), &[Lpn(lpn)], Bytes::kib(4)).unwrap();
             written.insert(lpn);
@@ -57,7 +58,7 @@ proptest! {
         // Every LPN ever written must still resolve; nothing else may.
         let all: Vec<Lpn> = (0..24).map(Lpn).collect();
         let (ops, unmapped) = ftl.read_ops(&all);
-        let unmapped: FxHashSet<u64> = unmapped.into_iter().map(|l| l.0).collect();
+        let unmapped: BTreeSet<u64> = unmapped.into_iter().map(|l| l.0).collect();
         for lpn in 0..24u64 {
             prop_assert_eq!(written.contains(&lpn), !unmapped.contains(&lpn), "lpn {}", lpn);
         }
@@ -72,7 +73,7 @@ proptest! {
         writes in prop::collection::vec((0u64..6, prop::bool::ANY), 1..150),
     ) {
         let mut ftl = small_ftl(2, 4, 8, true);
-        let mut written: FxHashSet<u64> = FxHashSet::default();
+        let mut written: BTreeSet<u64> = BTreeSet::new();
         for (base, use_8k) in writes {
             if use_8k {
                 let pair = [Lpn(base * 2), Lpn(base * 2 + 1)];
@@ -118,7 +119,7 @@ proptest! {
     ) {
         let layout = PpnLayout::new(4, 16, 32).unwrap();
         let mut table = MappingTable::new((1 << 20) + 600, layout);
-        let mut model: FxHashMap<u64, Ppn> = FxHashMap::default();
+        let mut model: BTreeMap<u64, Ppn> = BTreeMap::new();
         for (op, raw, plane, page) in ops {
             let lpn = if raw < 600 { raw } else { (1 << 20) + (raw - 600) };
             let loc = ppn(plane, page / 32, page % 32);
@@ -180,6 +181,7 @@ proptest! {
             }
             prop_assert_eq!(table.occupied_pages(), model.len());
         }
+        #[expect(clippy::iter_over_hash_type, reason = "each entry is compared on its own")]
         for (p, lpns) in &model {
             prop_assert_eq!(&*table.residents(*p), &lpns[..]);
         }

@@ -744,7 +744,7 @@ impl ProfileReport {
             "{:<22} {:>12.1} {:>6.2}% {:>12} {:>10} {:>10}",
             "total",
             self.total_ns_per_request(),
-            shares.iter().sum::<f64>(), // lint: allow(float-accum) -- fixed-order phase array
+            shares.iter().sum::<f64>(),
             "",
             "",
             ""

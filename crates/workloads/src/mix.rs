@@ -56,7 +56,6 @@ impl WorkloadMix {
             names.push(by_name(name)?.name);
         }
         let weights: Vec<f64> = entries.iter().map(|&(_, w)| w).collect();
-        // lint: allow(float-accum) -- fixed-order spec list; validation only
         if weights.iter().sum::<f64>() <= 0.0 {
             return None;
         }

@@ -76,9 +76,9 @@ impl SizeModel {
         // Geometric tail: weight halves per bucket; contributions s·w are
         // then equal because sizes double.
         let geo_raw = [1.0, 0.5, 0.25, 0.125];
-        let norm: f64 = geo_raw.iter().sum(); // lint: allow(float-accum) -- fixed-order literal array
+        let norm: f64 = geo_raw.iter().sum();
         let geo: Vec<f64> = geo_raw.iter().map(|w| tail_mass * w / norm).collect();
-        let t0: f64 = TAIL.iter().zip(&geo).map(|(&s, &w)| s as f64 * w).sum(); // lint: allow(float-accum) -- fixed-order const table
+        let t0: f64 = TAIL.iter().zip(&geo).map(|(&s, &w)| s as f64 * w).sum();
 
         // Required tail contribution to the mean.
         let needed = mean_kib - 4.0 * frac_4k;
@@ -137,22 +137,22 @@ impl SizeModel {
 
     /// The model's exact mean, in KiB.
     pub fn mean_kib(&self) -> f64 {
-        let total: f64 = self.entries.iter().map(|&(_, w)| w).sum(); // lint: allow(float-accum) -- entries is a fixed-order Vec
+        let total: f64 = self.entries.iter().map(|&(_, w)| w).sum();
         self.entries
             .iter()
             .map(|&(s, w)| s.as_kib_f64() * w)
-            .sum::<f64>() // lint: allow(float-accum) -- entries is a fixed-order Vec
+            .sum::<f64>()
             / total
     }
 
     /// The probability of drawing exactly 4 KiB.
     pub fn frac_4k(&self) -> f64 {
-        let total: f64 = self.entries.iter().map(|&(_, w)| w).sum(); // lint: allow(float-accum) -- entries is a fixed-order Vec
+        let total: f64 = self.entries.iter().map(|&(_, w)| w).sum();
         self.entries
             .iter()
             .filter(|&&(s, _)| s == Bytes::kib(4))
             .map(|&(_, w)| w)
-            .sum::<f64>() // lint: allow(float-accum) -- entries is a fixed-order Vec
+            .sum::<f64>()
             / total
     }
 

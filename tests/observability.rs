@@ -9,7 +9,7 @@ use hps::obs::json::{parse, Value};
 use hps::obs::{render_summary, write_chrome_trace, Event, EventKind, Telemetry, Track};
 use hps::trace::Trace;
 use hps::workloads::{by_name, generate};
-use hps_core::hash::FxHashSet;
+use std::collections::BTreeSet;
 
 /// A truncated workload keeps debug-mode replay fast.
 fn small_trace(name: &str, n: usize) -> Trace {
@@ -35,7 +35,7 @@ fn every_request_gets_a_lifecycle_span() {
     assert_eq!(total, 400);
 
     // Acceptance bar: at least one span per request, keyed by request id.
-    let request_ids: FxHashSet<u64> = events
+    let request_ids: BTreeSet<u64> = events
         .iter()
         .filter_map(|e| match e.kind {
             EventKind::Request { id, .. } => Some(id),
@@ -60,7 +60,7 @@ fn every_request_gets_a_lifecycle_span() {
     );
 
     // Flash ops landed on per-channel/die tracks.
-    let die_tracks: FxHashSet<Track> = events
+    let die_tracks: BTreeSet<Track> = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::FlashOp { gc: false, .. }))
         .map(Event::track)
@@ -83,7 +83,7 @@ fn chrome_export_of_a_replay_is_perfetto_loadable() {
     let doc = parse(std::str::from_utf8(&out).unwrap()).expect("valid JSON");
     let trace_events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
     assert!(trace_events.len() >= events.len());
-    let mut names = FxHashSet::default();
+    let mut names = BTreeSet::new();
     for e in trace_events {
         let ph = e.get("ph").and_then(Value::as_str).expect("ph field");
         assert!(e.get("pid").and_then(Value::as_f64).is_some());
